@@ -509,11 +509,21 @@ impl DviProblem {
         layers
     }
 
+    /// One past the highest via layer present (0 without vias): the
+    /// layer count of the solvers' per-via-layer grids.
+    pub(crate) fn via_layer_bound(&self) -> u8 {
+        self.via_layers().last().map_or(0, |l| l + 1)
+    }
+
     /// Builds the shared by-location candidate index used by the DVI
     /// solvers; per-cell iteration yields ascending candidate indices.
     pub(crate) fn candidate_loc_index(&self) -> LocIndex {
-        let layers = self.via_layers().last().map_or(0, |l| l + 1);
-        LocIndex::of_candidate_locs(layers, self.grid_width, self.grid_height, &self.candidates)
+        LocIndex::of_candidate_locs(
+            self.via_layer_bound(),
+            self.grid_width,
+            self.grid_height,
+            &self.candidates,
+        )
     }
 }
 

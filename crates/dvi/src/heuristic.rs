@@ -16,16 +16,18 @@
 //! valid — its via already protected, a conflicting candidate already
 //! inserted, or insertion would create an FVP — is discarded.
 //!
-//! After insertion, redundant vias are TPL-colored against the
-//! pre-colored existing vias; any uncolorable redundant via is
-//! un-inserted, so via layers stay TPL decomposable.
+//! After insertion, redundant vias are TPL-colored first-fit, in
+//! insertion order, against the Welsh–Powell pre-coloring of the
+//! existing vias; any uncolorable redundant via is un-inserted, so via
+//! layers stay TPL decomposable.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
 
+use sadp_grid::{DenseGrid, GridPoint};
 use sadp_trace::{Phase, RouteObserver};
-use tpl_decomp::{vias_conflict, welsh_powell, DecompGraph, FvpIndex};
+use tpl_decomp::{conflict_offsets, welsh_powell, DecompGraph, FvpIndex};
 
 use crate::candidates::{DviProblem, LocIndex};
 use crate::report::DviOutcome;
@@ -54,14 +56,16 @@ impl Default for DviParams {
 struct HeurState<'p> {
     problem: &'p DviProblem,
     params: DviParams,
-    /// Per via layer: incremental FVP index over existing + inserted
-    /// vias.
-    fvp: HashMap<u8, FvpIndex>,
+    /// Indexed by via layer: incremental FVP index over existing +
+    /// inserted vias.
+    fvp: Vec<FvpIndex>,
     conflict_adj: Vec<Vec<u32>>,
     inserted: Vec<bool>,
     protected: Vec<bool>,
     /// Candidate indices by (via_layer, x, y) of their location.
     cand_by_loc: LocIndex,
+    /// Reused buffer of [`HeurState::killed_count`].
+    nearby: Vec<u32>,
 }
 
 impl<'p> HeurState<'p> {
@@ -70,16 +74,14 @@ impl<'p> HeurState<'p> {
         let h = problem.grid_height().max(3);
         // Per-via-layer FVP index construction fans out on the
         // execution pool (one independent index per layer).
-        let layers = problem.via_layers();
-        let fvp: HashMap<u8, FvpIndex> = sadp_exec::map(&layers, |&layer| {
+        let layers: Vec<u8> = (0..problem.via_layer_bound()).collect();
+        let fvp = sadp_exec::map(&layers, |&layer| {
             let mut idx = FvpIndex::new(w, h);
             for (x, y) in problem.existing_on_layer(layer) {
                 idx.add_via(x, y);
             }
-            (layer, idx)
-        })
-        .into_iter()
-        .collect();
+            idx
+        });
         let mut conflict_adj = vec![Vec::new(); problem.candidates().len()];
         for &(a, b) in problem.conflicts() {
             conflict_adj[a as usize].push(b);
@@ -94,6 +96,7 @@ impl<'p> HeurState<'p> {
             inserted: vec![false; problem.candidates().len()],
             protected: vec![false; problem.via_count()],
             cand_by_loc,
+            nearby: Vec::new(),
         }
     }
 
@@ -109,7 +112,7 @@ impl<'p> HeurState<'p> {
         {
             return false;
         }
-        !self.fvp[&cand.via_layer].would_create_fvp(cand.loc.0, cand.loc.1)
+        !self.fvp[cand.via_layer as usize].would_create_fvp(cand.loc.0, cand.loc.1)
     }
 
     fn feasible_count(&self, via_idx: u32) -> i64 {
@@ -137,7 +140,8 @@ impl<'p> HeurState<'p> {
         let (layer, (cx, cy)) = (cand.via_layer, cand.loc);
         let via_idx = cand.via_idx;
         // Collect nearby candidates that are currently valid.
-        let mut nearby: Vec<u32> = Vec::new();
+        let mut nearby = std::mem::take(&mut self.nearby);
+        nearby.clear();
         for dx in -2..=2 {
             for dy in -2..=2 {
                 for o in self.cand_by_loc.at(layer, cx + dx, cy + dy) {
@@ -151,20 +155,17 @@ impl<'p> HeurState<'p> {
             }
         }
         // Simulate the insertion.
-        let Some(idx) = self.fvp.get_mut(&layer) else {
-            return 0; // candidate on an unknown layer: no FVP impact
-        };
+        let idx = &mut self.fvp[layer as usize];
         idx.add_via(cx, cy);
-        let mut killed = 0i64;
-        for &o in &nearby {
-            let oc = &self.problem.candidates()[o as usize];
-            if self.fvp[&layer].would_create_fvp(oc.loc.0, oc.loc.1) {
-                killed += 1;
-            }
-        }
-        if let Some(idx) = self.fvp.get_mut(&layer) {
-            idx.remove_via(cx, cy);
-        }
+        let killed = nearby
+            .iter()
+            .filter(|&&o| {
+                let oc = &self.problem.candidates()[o as usize];
+                idx.would_create_fvp(oc.loc.0, oc.loc.1)
+            })
+            .count() as i64;
+        idx.remove_via(cx, cy);
+        self.nearby = nearby;
         killed
     }
 
@@ -179,17 +180,13 @@ impl<'p> HeurState<'p> {
         let cand = &self.problem.candidates()[c as usize];
         self.inserted[c as usize] = true;
         self.protected[cand.via_idx as usize] = true;
-        if let Some(idx) = self.fvp.get_mut(&cand.via_layer) {
-            idx.add_via(cand.loc.0, cand.loc.1);
-        }
+        self.fvp[cand.via_layer as usize].add_via(cand.loc.0, cand.loc.1);
     }
 
     fn uninsert(&mut self, c: u32) {
         let cand = &self.problem.candidates()[c as usize];
         self.inserted[c as usize] = false;
-        if let Some(idx) = self.fvp.get_mut(&cand.via_layer) {
-            idx.remove_via(cand.loc.0, cand.loc.1);
-        }
+        self.fvp[cand.via_layer as usize].remove_via(cand.loc.0, cand.loc.1);
     }
 }
 
@@ -207,21 +204,22 @@ fn precolor(problem: &DviProblem) -> (Vec<Option<u8>>, usize) {
             .filter(|(_, pv)| pv.via.below == layer)
             .map(|(i, _)| i)
             .collect();
-        let graph = DecompGraph::from_positions(
-            idxs.iter()
-                .map(|&i| (problem.vias()[i].via.x, problem.vias()[i].via.y)),
-        );
-        let out = welsh_powell(&graph, 3);
-        (idxs, out.colors)
+        let pos = |i: usize| (problem.vias()[i].via.x, problem.vias()[i].via.y);
+        let graph = DecompGraph::from_positions(idxs.iter().map(|&i| pos(i)));
+        let colors = welsh_powell(&graph, 3).colors;
+        // The graph collapses co-located vias (a shorted solution) into
+        // one vertex: each via takes the color of its position's vertex.
+        let vertex: HashMap<(i32, i32), usize> =
+            (0..graph.len()).map(|v| (graph.position(v), v)).collect();
+        let via_colors = idxs.iter().map(|&i| colors[vertex[&pos(i)]]).collect();
+        (idxs, via_colors)
     });
     let mut colors: Vec<Option<u8>> = vec![None; problem.via_count()];
     let mut uncolorable = 0usize;
     for (idxs, layer_colors) in per_layer {
-        for (k, &i) in idxs.iter().enumerate() {
-            colors[i] = layer_colors[k];
-            if layer_colors[k].is_none() {
-                uncolorable += 1;
-            }
+        for (&i, color) in idxs.iter().zip(layer_colors) {
+            colors[i] = color;
+            uncolorable += usize::from(color.is_none());
         }
     }
     (colors, uncolorable)
@@ -229,9 +227,22 @@ fn precolor(problem: &DviProblem) -> (Vec<Option<u8>>, usize) {
 
 /// Runs Algorithm 3 on a DVI problem.
 ///
-/// Complexity is `O(n log n)` in the number of feasible candidates
-/// (each lazy re-push strictly increases a penalty bounded by local
-/// counts).
+/// Cost by stage, for `V` single vias, `C` candidates, `I` inserted
+/// redundant vias and a grid of `A` cells per via layer:
+///
+/// * pre-coloring: `O(V log V)` (position-hashed decomposition graph,
+///   Welsh–Powell degree order);
+/// * set-up: `O(A)` per via layer to allocate the dense FVP and
+///   by-location grids, then `O(V + C)` to fill them;
+/// * penalties: `O(1)` each — a candidate's via (≤ 4 candidates), its
+///   conflict list and its 5×5 FVP reach — so `O(C)` to seed the heap;
+/// * greedy: `O(P log C)` for `P` heap pops. A pop re-pushes its
+///   candidate only when the penalty changed since the push, and only
+///   insertions in the candidate's constant neighbourhood change it,
+///   so `P` is `C` times a local constant;
+/// * final coloring: `O(A)` per via layer for the color-mask grid,
+///   then `O(V + I)` — each redundant via reads its 20 conflict cells
+///   and takes the first free color.
 ///
 /// ```
 /// use sadp_grid::{Axis, Net, NetId, Netlist, Pin, RoutedNet, RoutingGrid,
@@ -250,7 +261,7 @@ fn precolor(problem: &DviProblem) -> (Vec<Option<u8>>, usize) {
 /// assert_eq!(out.dead_via_count, 0);
 /// ```
 pub fn solve_heuristic(problem: &DviProblem, params: &DviParams) -> DviOutcome {
-    solve_with(problem, params, 0)
+    solve_with::<Local>(problem, params, 0)
 }
 
 /// [`solve_heuristic`] wrapped in a [`sadp_trace::Phase::Dvi`] span,
@@ -260,7 +271,7 @@ pub fn solve_heuristic_observed(
     params: &DviParams,
     obs: &mut impl RouteObserver,
 ) -> DviOutcome {
-    observe_dvi(obs, || solve_with(problem, params, 0))
+    observe_dvi(obs, || solve_with::<Local>(problem, params, 0))
 }
 
 /// Algorithm 3 followed by up to `swap_passes` rounds of 1-swap local
@@ -272,9 +283,10 @@ pub fn solve_heuristic_observed(
 /// Keeps all invariants of the base heuristic (one redundant via per
 /// single via, conflict-free, FVP-free, final coloring with un-insert
 /// of uncolorable vias) and narrows the gap to the exact ILP at a
-/// small extra cost.
+/// small extra cost: each pass is `O(V + C)`, every blocker lookup
+/// reading a constant neighbourhood.
 pub fn solve_heuristic_improved(problem: &DviProblem, params: &DviParams) -> DviOutcome {
-    solve_with(problem, params, 3)
+    solve_with::<Local>(problem, params, 3)
 }
 
 /// [`solve_heuristic_improved`] wrapped in a
@@ -284,7 +296,7 @@ pub fn solve_heuristic_improved_observed(
     params: &DviParams,
     obs: &mut impl RouteObserver,
 ) -> DviOutcome {
-    observe_dvi(obs, || solve_with(problem, params, 3))
+    observe_dvi(obs, || solve_with::<Local>(problem, params, 3))
 }
 
 /// Runs a DVI solver body inside a [`Phase::Dvi`] span and emits the
@@ -300,11 +312,125 @@ pub(crate) fn observe_dvi(
     outcome
 }
 
-fn solve_with(problem: &DviProblem, params: &DviParams, swap_passes: usize) -> DviOutcome {
+/// The two stages whose scans are bounded by the conflict radius: the
+/// FVP-blocker lookup of the 1-swap pass and the final coloring. The
+/// production form is [`Local`]; the tests keep the original
+/// whole-problem scans as a differential oracle.
+trait Stages {
+    /// The inserted candidates that may FVP-block candidate `c`: those
+    /// within the 5×5 classification-window reach of its location, in
+    /// ascending order, at most six.
+    fn fvp_blockers(state: &HeurState<'_>, c: u32) -> Vec<u32>;
+
+    /// Colors `insertion_order` first-fit against the fixed
+    /// pre-coloring `via_colors`, un-inserting uncolorable ones;
+    /// returns the kept insertions and their colors.
+    fn color(
+        state: &mut HeurState<'_>,
+        via_colors: &[Option<u8>],
+        insertion_order: &[u32],
+    ) -> (Vec<u32>, Vec<u8>);
+}
+
+/// By-location lookups: each query touches a constant neighbourhood.
+struct Local;
+
+impl Stages for Local {
+    fn fvp_blockers(state: &HeurState<'_>, c: u32) -> Vec<u32> {
+        let cand = &state.problem.candidates()[c as usize];
+        let (layer, (cx, cy)) = (cand.via_layer, cand.loc);
+        let mut near = Vec::new();
+        for dx in -2..=2 {
+            for dy in -2..=2 {
+                near.extend(
+                    state
+                        .cand_by_loc
+                        .at(layer, cx + dx, cy + dy)
+                        .filter(|&o| state.inserted[o as usize]),
+                );
+            }
+        }
+        // Ascending ids: the order decides which 1-swap is tried first.
+        near.sort_unstable();
+        near.truncate(6);
+        near
+    }
+
+    fn color(
+        state: &mut HeurState<'_>,
+        via_colors: &[Option<u8>],
+        insertion_order: &[u32],
+    ) -> (Vec<u32>, Vec<u8>) {
+        let problem = state.problem;
+        // Per (via_layer, x, y): bit k set when color k is used there.
+        let mut used: DenseGrid<u8> = DenseGrid::new(
+            problem.via_layer_bound(),
+            problem.grid_width().max(1),
+            problem.grid_height().max(1),
+            0,
+        );
+        for (pv, color) in problem.vias().iter().zip(via_colors) {
+            let cell = used.get_mut(GridPoint::new(pv.via.below, pv.via.x, pv.via.y));
+            if let (Some(cell), Some(col)) = (cell, color) {
+                *cell |= 1 << col;
+            }
+        }
+        let mut kept = Vec::new();
+        let mut colors = Vec::new();
+        for &c in insertion_order {
+            let cand = &problem.candidates()[c as usize];
+            let (layer, (x, y)) = (cand.via_layer, cand.loc);
+            let taken = conflict_offsets()
+                .filter_map(|(dx, dy)| used.get(GridPoint::new(layer, x + dx, y + dy)))
+                .fold(0u8, |acc, &m| acc | m);
+            match (0..3u8).find(|&k| taken & (1 << k) == 0) {
+                Some(col) => {
+                    if let Some(cell) = used.get_mut(GridPoint::new(layer, x, y)) {
+                        *cell |= 1 << col;
+                    }
+                    kept.push(c);
+                    colors.push(col);
+                }
+                None => state.uninsert(c),
+            }
+        }
+        (kept, colors)
+    }
+}
+
+fn solve_with<S: Stages>(
+    problem: &DviProblem,
+    params: &DviParams,
+    swap_passes: usize,
+) -> DviOutcome {
     let start = Instant::now();
     let (via_colors, uncolorable) = precolor(problem);
-    let mut state = HeurState::new(problem, *params);
+    let (mut state, mut insertion_order) = greedy(problem, params);
 
+    for _ in 0..swap_passes {
+        if !one_swap_pass::<S>(problem, &mut state, &mut insertion_order) {
+            break;
+        }
+    }
+
+    // TPL coloring of the inserted redundant vias against the fixed
+    // pre-coloring; uncolorable ones are un-inserted.
+    let (inserted, inserted_colors) = S::color(&mut state, &via_colors, &insertion_order);
+
+    DviOutcome {
+        dead_via_count: problem.via_count() - inserted.len(),
+        inserted,
+        via_colors,
+        inserted_colors,
+        uncolorable_count: uncolorable,
+        runtime: start.elapsed(),
+    }
+}
+
+/// Algorithm 3's lazy priority-queue insertion; returns the state and
+/// the candidates inserted, in order.
+fn greedy<'p>(problem: &'p DviProblem, params: &DviParams) -> (HeurState<'p>, Vec<u32>) {
+    let mut state = HeurState::new(problem, *params);
     let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
     for c in 0..problem.candidates().len() as u32 {
         let dp = state.penalty(c);
@@ -323,53 +449,7 @@ fn solve_with(problem: &DviProblem, params: &DviParams, swap_passes: usize) -> D
         state.insert(c);
         insertion_order.push(c);
     }
-
-    for _ in 0..swap_passes {
-        if !one_swap_pass(problem, &mut state, &mut insertion_order) {
-            break;
-        }
-    }
-
-    // TPL coloring of the inserted redundant vias against the fixed
-    // pre-coloring; uncolorable ones are un-inserted.
-    let mut final_inserted: Vec<u32> = Vec::new();
-    let mut inserted_colors: Vec<u8> = Vec::new();
-    let mut colored_positions: Vec<(u8, i32, i32, u8)> = Vec::new();
-    for &c in &insertion_order {
-        let cand = &problem.candidates()[c as usize];
-        let mut used = [false; 3];
-        for (i, pv) in problem.vias().iter().enumerate() {
-            if pv.via.below == cand.via_layer
-                && vias_conflict(pv.via.x - cand.loc.0, pv.via.y - cand.loc.1)
-            {
-                if let Some(col) = via_colors[i] {
-                    used[col as usize] = true;
-                }
-            }
-        }
-        for &(layer, x, y, col) in &colored_positions {
-            if layer == cand.via_layer && vias_conflict(x - cand.loc.0, y - cand.loc.1) {
-                used[col as usize] = true;
-            }
-        }
-        match (0..3u8).find(|&k| !used[k as usize]) {
-            Some(col) => {
-                final_inserted.push(c);
-                inserted_colors.push(col);
-                colored_positions.push((cand.via_layer, cand.loc.0, cand.loc.1, col));
-            }
-            None => state.uninsert(c),
-        }
-    }
-
-    DviOutcome {
-        dead_via_count: problem.via_count() - final_inserted.len(),
-        inserted: final_inserted,
-        via_colors,
-        inserted_colors,
-        uncolorable_count: uncolorable,
-        runtime: start.elapsed(),
-    }
+    (state, insertion_order)
 }
 
 /// One pass of 1-swap improvement; returns `true` when at least one
@@ -382,11 +462,17 @@ fn solve_with(problem: &DviProblem, params: &DviParams, swap_passes: usize) -> D
 /// re-home one of them onto another valid candidate of its own via so
 /// that `c` becomes insertable. Success protects one more via; any
 /// failed attempt is fully reverted.
-fn one_swap_pass(
+fn one_swap_pass<S: Stages>(
     problem: &DviProblem,
     state: &mut HeurState<'_>,
     insertion_order: &mut Vec<u32>,
 ) -> bool {
+    // Position of each inserted candidate in `insertion_order` (every
+    // inserted candidate is there).
+    let mut slot = vec![0usize; problem.candidates().len()];
+    for (pos, &c) in insertion_order.iter().enumerate() {
+        slot[c as usize] = pos;
+    }
     let mut improved = false;
     for (v, pv) in problem.vias().iter().enumerate() {
         if state.protected[v] {
@@ -398,25 +484,11 @@ fn one_swap_pass(
                 .copied()
                 .filter(|&o| state.inserted[o as usize])
                 .collect();
-            let cand = &problem.candidates()[c as usize];
             let removal_candidates: Vec<u32> = match conflict_blockers.len() {
                 1 => conflict_blockers,
-                0 => {
-                    // FVP-blocked: inserted redundant vias within the
-                    // classification window reach of the location.
-                    let mut near = Vec::new();
-                    for (i, other) in problem.candidates().iter().enumerate() {
-                        if state.inserted[i]
-                            && other.via_layer == cand.via_layer
-                            && (other.loc.0 - cand.loc.0).abs() <= 2
-                            && (other.loc.1 - cand.loc.1).abs() <= 2
-                        {
-                            near.push(i as u32);
-                        }
-                    }
-                    near.truncate(6);
-                    near
-                }
+                // FVP-blocked: inserted redundant vias within the
+                // classification window reach of the location.
+                0 => S::fvp_blockers(state, c),
                 _ => continue, // multiple conflicts: a 1-swap cannot help
             };
             for b in removal_candidates {
@@ -437,10 +509,10 @@ fn one_swap_pass(
                 match alt {
                     Some(a) => {
                         state.insert(a);
-                        match insertion_order.iter().position(|&x| x == b) {
-                            Some(pos) => insertion_order[pos] = a,
-                            None => insertion_order.push(a),
-                        }
+                        let pos = slot[b as usize];
+                        insertion_order[pos] = a;
+                        slot[a as usize] = pos;
+                        slot[c as usize] = insertion_order.len();
                         insertion_order.push(c);
                         improved = true;
                         break 'candidates;
@@ -465,6 +537,158 @@ mod tests {
         Axis, Net, NetId, Netlist, Pin, RoutedNet, RoutingGrid, RoutingSolution, SadpKind, Via,
         WireEdge,
     };
+    use tpl_decomp::vias_conflict;
+
+    /// The differential oracle: the original whole-problem scans —
+    /// every candidate per FVP-blocked candidate, every via and every
+    /// colored insertion per inserted candidate.
+    struct Quadratic;
+
+    impl Stages for Quadratic {
+        fn fvp_blockers(state: &HeurState<'_>, c: u32) -> Vec<u32> {
+            let cand = &state.problem.candidates()[c as usize];
+            let mut near = Vec::new();
+            for (i, other) in state.problem.candidates().iter().enumerate() {
+                if state.inserted[i]
+                    && other.via_layer == cand.via_layer
+                    && (other.loc.0 - cand.loc.0).abs() <= 2
+                    && (other.loc.1 - cand.loc.1).abs() <= 2
+                {
+                    near.push(i as u32);
+                }
+            }
+            near.truncate(6);
+            near
+        }
+
+        fn color(
+            state: &mut HeurState<'_>,
+            via_colors: &[Option<u8>],
+            insertion_order: &[u32],
+        ) -> (Vec<u32>, Vec<u8>) {
+            let problem = state.problem;
+            let mut kept = Vec::new();
+            let mut colors = Vec::new();
+            let mut colored_positions: Vec<(u8, i32, i32, u8)> = Vec::new();
+            for &c in insertion_order {
+                let cand = &problem.candidates()[c as usize];
+                let mut used = [false; 3];
+                for (i, pv) in problem.vias().iter().enumerate() {
+                    if pv.via.below == cand.via_layer
+                        && vias_conflict(pv.via.x - cand.loc.0, pv.via.y - cand.loc.1)
+                    {
+                        if let Some(col) = via_colors[i] {
+                            used[col as usize] = true;
+                        }
+                    }
+                }
+                for &(layer, x, y, col) in &colored_positions {
+                    if layer == cand.via_layer && vias_conflict(x - cand.loc.0, y - cand.loc.1) {
+                        used[col as usize] = true;
+                    }
+                }
+                match (0..3u8).find(|&k| !used[k as usize]) {
+                    Some(col) => {
+                        kept.push(c);
+                        colors.push(col);
+                        colored_positions.push((cand.via_layer, cand.loc.0, cand.loc.1, col));
+                    }
+                    None => state.uninsert(c),
+                }
+            }
+            (kept, colors)
+        }
+    }
+
+    /// Runs the local solver and the quadratic oracle, base and
+    /// improved, and requires identical outcomes; also compares the
+    /// FVP-blocker lists of every candidate after the greedy stage
+    /// (their order decides which 1-swap is tried first).
+    fn assert_matches_oracle(p: &DviProblem, what: &str) {
+        let params = DviParams::default();
+        let (state, _) = greedy(p, &params);
+        for c in 0..p.candidates().len() as u32 {
+            assert_eq!(
+                Local::fvp_blockers(&state, c),
+                Quadratic::fvp_blockers(&state, c),
+                "{what}: FVP blockers of candidate {c}"
+            );
+        }
+        for passes in [0, 3] {
+            let local = solve_with::<Local>(p, &params, passes);
+            let oracle = solve_with::<Quadratic>(p, &params, passes);
+            assert_eq!(
+                local.inserted, oracle.inserted,
+                "{what}, {passes} swap passes"
+            );
+            assert_eq!(local.inserted_colors, oracle.inserted_colors, "{what}");
+            assert_eq!(local.via_colors, oracle.via_colors, "{what}");
+            assert_eq!(local.dead_via_count, oracle.dead_via_count, "{what}");
+        }
+    }
+
+    #[test]
+    fn local_stages_match_the_quadratic_oracle_on_chains() {
+        for (n, spacing) in [(3, 8), (4, 2), (5, 2), (6, 2), (6, 3)] {
+            let p = DviProblem::build(SadpKind::Sim, &chain_solution(n, spacing));
+            assert_matches_oracle(&p, &format!("chain {n}x{spacing}"));
+        }
+    }
+
+    #[test]
+    fn local_stages_match_the_quadratic_oracle_on_routed_circuits() {
+        for name in ["ecc", "alu"] {
+            let spec = benchgen::BenchSpec::by_name(name)
+                .expect("a paper-suite circuit")
+                .scaled(0.25);
+            for kind in [SadpKind::Sim, SadpKind::Sid] {
+                let out = sadp_router::Router::new(
+                    spec.grid(),
+                    spec.generate(1),
+                    sadp_router::RouterConfig::full(kind),
+                )
+                .try_run(&mut sadp_trace::NoopObserver)
+                .expect("benchgen circuits route");
+                let p = DviProblem::build(kind, &out.solution);
+                assert!(p.via_count() > 0 && !p.candidates().is_empty());
+                assert_matches_oracle(&p, &format!("{name}-0.25 {kind:?}"));
+            }
+        }
+    }
+
+    /// Two nets with a via each at one position (a shorted solution):
+    /// the decomposition graph collapses them into one vertex, and
+    /// both vias take that vertex's color.
+    #[test]
+    fn precolor_handles_co_located_vias() {
+        let mut nl = Netlist::new();
+        nl.push(Net::new("a", vec![Pin::new(4, 4), Pin::new(8, 4)]));
+        nl.push(Net::new("b", vec![Pin::new(4, 4), Pin::new(4, 8)]));
+        let mut sol = RoutingSolution::new(RoutingGrid::three_layer(16, 16), &nl);
+        sol.set_route(
+            NetId(0),
+            RoutedNet::new(Vec::new(), vec![Via::new(0, 4, 4)]),
+        );
+        sol.set_route(
+            NetId(1),
+            RoutedNet::new(Vec::new(), vec![Via::new(0, 4, 4), Via::new(0, 6, 4)]),
+        );
+        let p = DviProblem::build(SadpKind::Sim, &sol);
+        let at = |x: i32, y: i32| -> Vec<usize> {
+            (0..p.via_count())
+                .filter(|&i| (p.vias()[i].via.x, p.vias()[i].via.y) == (x, y))
+                .collect()
+        };
+        let co_located = at(4, 4);
+        assert_eq!(co_located.len(), 2);
+        let (colors, uncolorable) = precolor(&p);
+        assert_eq!(uncolorable, 0);
+        assert!(colors[co_located[0]].is_some());
+        assert_eq!(colors[co_located[0]], colors[co_located[1]]);
+        assert_ne!(colors[co_located[0]], colors[at(6, 4)[0]]);
+        let out = solve_heuristic(&p, &DviParams::default());
+        assert_eq!(out.via_colors, colors);
+    }
 
     fn chain_solution(n: i32, spacing: i32) -> RoutingSolution {
         let mut nl = Netlist::new();

@@ -9,14 +9,54 @@
 //! 3. four vias → FVP unless two occupy diagonally opposite corners;
 //! 4. three or fewer vias → never an FVP.
 //!
-//! [`window_is_fvp`] implements these rules;
+//! The rules are evaluated once, at compile time, into a 512-entry
+//! table over 9-bit window masks; [`window_is_fvp`] and the
+//! [`FvpIndex`] kernel both look patterns up there.
 //! [`window_is_3colorable_bruteforce`] is the exhaustive reference the
-//! test suite proves them equivalent to (all 512 window patterns).
+//! test suite proves the table equivalent to (all 512 window patterns).
 
 use crate::conflict::vias_conflict;
 
 /// Side length of the classification window (3×3 grid points).
 pub const WINDOW: i32 = 3;
+
+/// Bit of window-relative position `(x, y)` in a 9-bit window mask.
+///
+/// The layout is x-major (`3·x + y`), the order of [`FvpIndex`]'s via
+/// bitset, so each window column is three adjacent bits there.
+#[inline]
+const fn window_bit(x: i32, y: i32) -> u16 {
+    1 << (x * WINDOW + y)
+}
+
+/// The paper's O(1) classification (§II-D) of a 9-bit window mask:
+/// the single implementation of the FVP rules, evaluated at compile
+/// time into [`FVP_TABLE`].
+const fn mask_is_fvp(mask: u16) -> bool {
+    const fn has(mask: u16, x: i32, y: i32) -> bool {
+        mask & window_bit(x, y) != 0
+    }
+    match mask.count_ones() {
+        0..=3 => false,
+        // Colorable iff some diagonally opposite corner pair is
+        // occupied.
+        4 => !((has(mask, 0, 0) && has(mask, 2, 2)) || (has(mask, 2, 0) && has(mask, 0, 2))),
+        // Colorable iff all four corners are occupied.
+        5 => !(has(mask, 0, 0) && has(mask, 2, 0) && has(mask, 0, 2) && has(mask, 2, 2)),
+        _ => true,
+    }
+}
+
+/// FVP verdict of every 9-bit window mask (see [`window_bit`]).
+const FVP_TABLE: [bool; 512] = {
+    let mut table = [false; 512];
+    let mut mask = 0;
+    while mask < 512 {
+        table[mask] = mask_is_fvp(mask as u16);
+        mask += 1;
+    }
+    table
+};
 
 /// Classifies a via pattern inside a 3×3 window.
 ///
@@ -36,30 +76,11 @@ pub const WINDOW: i32 = 3;
 /// assert!(window_is_fvp(&[(0, 0), (1, 0), (0, 1), (1, 1)]));
 /// ```
 pub fn window_is_fvp(vias: &[(i32, i32)]) -> bool {
-    let mut set = [[false; 3]; 3];
-    let mut n = 0usize;
-    for &(x, y) in vias {
+    let mask = vias.iter().fold(0u16, |m, &(x, y)| {
         debug_assert!((0..WINDOW).contains(&x) && (0..WINDOW).contains(&y));
-        if !set[x as usize][y as usize] {
-            set[x as usize][y as usize] = true;
-            n += 1;
-        }
-    }
-    match n {
-        0..=3 => false,
-        4 => {
-            // Colorable iff some diagonally opposite corner pair is
-            // occupied.
-            let diag_a = set[0][0] && set[2][2];
-            let diag_b = set[2][0] && set[0][2];
-            !(diag_a || diag_b)
-        }
-        5 => {
-            // Colorable iff all four corners are occupied.
-            !(set[0][0] && set[2][0] && set[0][2] && set[2][2])
-        }
-        _ => true,
-    }
+        m | window_bit(x, y)
+    });
+    FVP_TABLE[mask as usize]
 }
 
 /// Exhaustive 3-coloring of the window conflict graph — the reference
@@ -113,6 +134,17 @@ impl BitGrid {
         (self.words[i >> 6] >> (i & 63)) & 1 != 0
     }
 
+    /// The `len` bits from `i` upward (`len` ≤ 16), bit `i` lowest.
+    #[inline]
+    fn bits(&self, i: usize, len: u32) -> u16 {
+        let (w, b) = (i >> 6, i & 63);
+        let mut v = self.words[w] >> b;
+        if b + len as usize > 64 {
+            v |= self.words[w + 1] << (64 - b);
+        }
+        (v & ((1 << len) - 1)) as u16
+    }
+
     /// Sets bit `i`; returns `true` if it was previously clear.
     #[inline]
     fn set(&mut self, i: usize) -> bool {
@@ -150,23 +182,15 @@ impl BitGrid {
     }
 }
 
-/// The window origins `(ox, oy)` whose 3×3 area contains `(x, y)` on a
-/// `w × h` grid.
-fn windows_touching(w: i32, h: i32, x: i32, y: i32) -> impl Iterator<Item = (i32, i32)> {
-    let x0 = (x - WINDOW + 1).max(0);
-    let x1 = x.min(w - WINDOW);
-    let y0 = (y - WINDOW + 1).max(0);
-    let y1 = y.min(h - WINDOW);
-    (x0..=x1).flat_map(move |ox| (y0..=y1).map(move |oy| (ox, oy)))
-}
-
 /// An incremental FVP index over one via layer.
 ///
 /// Tracks the set of vias on the layer and the set of 3×3 windows
 /// whose current pattern is an FVP. Adding or removing a via updates
-/// at most nine windows (O(1)); the full FVP list is available at any
-/// time, which is exactly what the paper's via-layer TPL violation
-/// removal R&R (Algorithm 2) needs.
+/// at most nine windows (O(1)): their 9-bit masks come from at most
+/// five column reads of the via bitset and are classified through the
+/// compile-time table, with no allocation. The full FVP list is
+/// available at any time, which is exactly what the paper's via-layer
+/// TPL violation removal R&R (Algorithm 2) needs.
 ///
 /// Both the via set and the FVP-window set are dense bitsets indexed
 /// in x-major order, so membership tests are single word reads and
@@ -279,33 +303,46 @@ impl FvpIndex {
         self.fvp.get(self.cell(ox, oy))
     }
 
-    /// The window-relative via pattern of window `(ox, oy)`.
-    fn window_pattern(&self, ox: i32, oy: i32) -> Vec<(i32, i32)> {
-        let mut out = Vec::with_capacity(9);
-        for dx in 0..WINDOW {
-            for dy in 0..WINDOW {
-                if self.vias.get(self.cell(ox + dx, oy + dy)) {
-                    out.push((dx, dy));
-                }
-            }
+    /// The windows whose 3×3 area contains `(x, y)`, each as its origin
+    /// `(ox, oy)` and current 9-bit mask (see [`window_bit`]).
+    ///
+    /// Reads each of the (at most five) grid columns the windows span
+    /// once; the iterator owns those reads and does not borrow `self`.
+    fn touching_windows(&self, x: i32, y: i32) -> impl Iterator<Item = (i32, i32, u16)> {
+        let (x0, x1) = ((x - WINDOW + 1).max(0), x.min(self.width - WINDOW));
+        let (y0, y1) = ((y - WINDOW + 1).max(0), y.min(self.height - WINDOW));
+        let rows = (y1 - y0 + WINDOW) as u32;
+        let mut cols = [0u16; 5];
+        for cx in x0..x1 + WINDOW {
+            cols[(cx - x0) as usize] = self.vias.bits(self.cell(cx, y0), rows);
         }
-        out
+        (x0..=x1).flat_map(move |ox| {
+            (y0..=y1).map(move |oy| {
+                let (c, s) = ((ox - x0) as usize, oy - y0);
+                let col = |dx: usize| (cols[c + dx] >> s) & 0b111;
+                (ox, oy, col(0) | col(1) << 3 | col(2) << 6)
+            })
+        })
     }
 
-    fn refresh_window(&mut self, ox: i32, oy: i32) {
-        let cell = self.cell(ox, oy);
-        let pat = self.window_pattern(ox, oy);
-        if window_is_fvp(&pat) {
-            if self.fvp.set(cell) {
-                self.fvp_count += 1;
+    /// Re-classifies the windows containing `(x, y)` after its via
+    /// changed.
+    fn refresh_windows_around(&mut self, x: i32, y: i32) {
+        for (ox, oy, mask) in self.touching_windows(x, y) {
+            let cell = self.cell(ox, oy);
+            if FVP_TABLE[mask as usize] {
+                if self.fvp.set(cell) {
+                    self.fvp_count += 1;
+                }
+                if self.stamp[cell] != self.epoch {
+                    self.stamp[cell] = self.epoch;
+                    self.dirty.push((ox, oy));
+                }
+            } else if self.fvp.clear(cell) {
+                self.fvp_count -= 1;
             }
-            if self.stamp[cell] != self.epoch {
-                self.stamp[cell] = self.epoch;
-                self.dirty.push((ox, oy));
-            }
-        } else if self.fvp.clear(cell) {
-            self.fvp_count -= 1;
         }
+        self.maybe_compact_dirty();
     }
 
     /// Rebuilds the dirty list from the currently-set FVP origins once
@@ -334,10 +371,7 @@ impl FvpIndex {
             return false;
         }
         self.via_count += 1;
-        for (ox, oy) in windows_touching(self.width, self.height, x, y) {
-            self.refresh_window(ox, oy);
-        }
-        self.maybe_compact_dirty();
+        self.refresh_windows_around(x, y);
         true
     }
 
@@ -348,10 +382,7 @@ impl FvpIndex {
             return false;
         }
         self.via_count -= 1;
-        for (ox, oy) in windows_touching(self.width, self.height, x, y) {
-            self.refresh_window(ox, oy);
-        }
-        self.maybe_compact_dirty();
+        self.refresh_windows_around(x, y);
         true
     }
 
@@ -362,18 +393,8 @@ impl FvpIndex {
     /// heuristic. The position itself may be empty or occupied; an
     /// occupied position trivially returns the current state.
     pub fn would_create_fvp(&self, x: i32, y: i32) -> bool {
-        if self.contains(x, y) {
-            return windows_touching(self.width, self.height, x, y)
-                .any(|(ox, oy)| self.fvp.get(self.cell(ox, oy)));
-        }
-        for (ox, oy) in windows_touching(self.width, self.height, x, y) {
-            let mut pat = self.window_pattern(ox, oy);
-            pat.push((x - ox, y - oy));
-            if window_is_fvp(&pat) {
-                return true;
-            }
-        }
-        false
+        self.touching_windows(x, y)
+            .any(|(ox, oy, mask)| FVP_TABLE[(mask | window_bit(x - ox, y - oy)) as usize])
     }
 }
 
@@ -397,6 +418,52 @@ mod tests {
                 window_is_fvp(&vias),
                 !window_is_3colorable_bruteforce(&vias),
                 "pattern {mask:#b} misclassified"
+            );
+        }
+    }
+
+    /// The index path (window masks read from the bitset, classified
+    /// through the table) agrees with exhaustive 3-coloring on all 512
+    /// window patterns, both for the FVP-window set and for the
+    /// `would_create_fvp` prediction at every empty cell of the window.
+    #[test]
+    fn index_table_equals_bruteforce_on_all_patterns() {
+        let pattern = |mask: u32| -> Vec<(i32, i32)> {
+            (0..9)
+                .filter(|bit| mask & (1 << bit) != 0)
+                .map(|bit| (bit / 3, bit % 3))
+                .collect()
+        };
+        // Interior origins, one with a window column straddling a
+        // bitset word (cells 63..=65), and origins clamped by the grid
+        // border.
+        for (w, h, ox, oy) in [(9, 10, 3, 4), (9, 10, 6, 3), (3, 3, 0, 0), (5, 5, 2, 2)] {
+            for mask in 0u32..512 {
+                check_window_pattern(w, h, ox, oy, &pattern(mask), mask);
+            }
+        }
+    }
+
+    /// Places window pattern `mask` (positions `vias`) at `(ox, oy)` of
+    /// a `w × h` index and checks the index against brute force.
+    fn check_window_pattern(w: i32, h: i32, ox: i32, oy: i32, vias: &[(i32, i32)], mask: u32) {
+        let mut idx = FvpIndex::new(w, h);
+        for &(x, y) in vias {
+            idx.add_via(ox + x, oy + y);
+        }
+        assert_eq!(
+            !idx.fvp_windows().is_empty(),
+            !window_is_3colorable_bruteforce(vias),
+            "pattern {mask:#011b} at ({ox}, {oy}) misclassified by the index"
+        );
+        for bit in (0..9).filter(|bit| mask & (1 << bit) == 0) {
+            let (x, y) = (bit / 3, bit % 3);
+            let mut with = vias.to_vec();
+            with.push((x, y));
+            assert_eq!(
+                idx.would_create_fvp(ox + x, oy + y),
+                !window_is_3colorable_bruteforce(&with),
+                "pattern {mask:#011b} at ({ox}, {oy}) plus ({x}, {y}) mispredicted"
             );
         }
     }
