@@ -25,6 +25,10 @@
 //!   [`SearchScratch::heuristic`]) turns Dijkstra into A*, which cuts
 //!   the expanded-state count sharply on the escalating-window
 //!   retries where the window is much larger than the route.
+//! * **Tree marks** — the partial tree a connection starts from is
+//!   stamped once per search into a window-local mark array (epoch
+//!   stamped, paged with the search state), so "is this neighbour on
+//!   the tree?" is an array read rather than a hash probe.
 //! * **Compact parent encoding** — instead of a parent *key* per
 //!   state, only the predecessor's incoming-direction code is stored
 //!   (1 byte): the predecessor point is recovered by stepping
@@ -266,12 +270,14 @@ const PAGE_ADDR_SHIFT: usize = 21;
 const PAGE_ADDR_MASK: usize = (1 << PAGE_ADDR_SHIFT) - 1;
 
 /// One lazily allocated 32×32-track tile of search state (all layers
-/// × all incoming-direction codes).
+/// × all incoming-direction codes), plus the tile's tree marks (all
+/// layers).
 #[derive(Debug, Clone)]
 struct Page {
     stamp: Box<[u32]>,
     dist: Box<[i64]>,
     parent: Box<[u8]>,
+    tree: Box<[u32]>,
 }
 
 impl Page {
@@ -280,12 +286,13 @@ impl Page {
             stamp: vec![0u32; slots].into_boxed_slice(),
             dist: vec![0i64; slots].into_boxed_slice(),
             parent: vec![0u8; slots].into_boxed_slice(),
+            tree: vec![0u32; slots / STATES_PER_POINT].into_boxed_slice(),
         }
     }
 }
 
-/// Reusable search buffers: dist/parent/visited state over the active
-/// window plus the open set.
+/// Reusable search buffers: dist/parent/visited state and tree marks
+/// over the active window, plus the open set.
 ///
 /// One scratch serves any number of searches; state is lazily
 /// "cleared" by bumping an epoch. Small windows index flat arrays
@@ -304,6 +311,9 @@ pub struct SearchScratch {
     /// Incoming-direction code of the predecessor state, or
     /// [`PARENT_SOURCE`] (valid when stamped).
     parent: Vec<u8>,
+    /// Per grid point of the flat window: the epoch in which the point
+    /// was marked as part of the source tree (`== epoch` = on the tree).
+    tree: Vec<u32>,
     /// Tile pages of the paged mode (`None` = never touched).
     pages: Vec<Option<Box<Page>>>,
     /// States per page (`layer_count × 32 × 32 × 7`).
@@ -354,6 +364,7 @@ impl SearchScratch {
             stamp: Vec::new(),
             dist: Vec::new(),
             parent: Vec::new(),
+            tree: Vec::new(),
             pages: Vec::new(),
             page_slots: 0,
             tiles_x: 0,
@@ -418,6 +429,7 @@ impl SearchScratch {
             self.stamp.resize(cap, 0);
             self.dist.resize(cap, 0);
             self.parent.resize(cap, 0);
+            self.tree.resize(cap / STATES_PER_POINT, 0);
         }
         self.epoch = match self.epoch.checked_add(1) {
             Some(e) => e,
@@ -425,8 +437,10 @@ impl SearchScratch {
                 // Epoch wrapped after 2^32 searches: hard-reset stamps
                 // once so stale slots cannot alias the new epoch.
                 self.stamp.fill(0);
+                self.tree.fill(0);
                 for page in self.pages.iter_mut().flatten() {
                     page.stamp.fill(0);
+                    page.tree.fill(0);
                 }
                 1
             }
@@ -435,21 +449,62 @@ impl SearchScratch {
         self.searches += 1;
     }
 
-    /// Address of a state inside the active window: a flat index in
-    /// flat mode, `(page << PAGE_ADDR_SHIFT) | offset` in paged mode.
+    /// Address of a grid point inside the active window: a flat index
+    /// in flat mode, `(page << PAGE_ADDR_SHIFT) | offset` in paged
+    /// mode. Indexes the tree marks directly.
     #[inline]
-    fn slot(&self, p: GridPoint, in_code: u8) -> usize {
-        debug_assert!(in_code as usize <= IN_NONE as usize);
+    fn point_slot(&self, p: GridPoint) -> usize {
         let lx = (p.x - self.x0) as usize;
         let ly = (p.y - self.y0) as usize;
         if !self.paged {
-            ((p.layer as usize * self.h + ly) * self.w + lx) * STATES_PER_POINT + in_code as usize
+            (p.layer as usize * self.h + ly) * self.w + lx
         } else {
             let page = (ly >> TILE_SHIFT) * self.tiles_x + (lx >> TILE_SHIFT);
-            let off = ((p.layer as usize * TILE + (ly & (TILE - 1))) * TILE + (lx & (TILE - 1)))
-                * STATES_PER_POINT
-                + in_code as usize;
+            let off = (p.layer as usize * TILE + (ly & (TILE - 1))) * TILE + (lx & (TILE - 1));
             (page << PAGE_ADDR_SHIFT) | off
+        }
+    }
+
+    /// Address of a state inside the active window, in the same two
+    /// forms as [`Self::point_slot`].
+    #[inline]
+    fn slot(&self, p: GridPoint, in_code: u8) -> usize {
+        debug_assert!(in_code as usize <= IN_NONE as usize);
+        let point = self.point_slot(p);
+        if !self.paged {
+            point * STATES_PER_POINT + in_code as usize
+        } else {
+            (point & !PAGE_ADDR_MASK)
+                | ((point & PAGE_ADDR_MASK) * STATES_PER_POINT + in_code as usize)
+        }
+    }
+
+    /// Marks `p` as a point of the source tree for the current search,
+    /// allocating its page on first touch in paged mode.
+    #[inline]
+    fn mark_tree(&mut self, p: GridPoint) {
+        let slot = self.point_slot(p);
+        if !self.paged {
+            self.tree[slot] = self.epoch;
+        } else {
+            let slots = self.page_slots;
+            let page = self.pages[slot >> PAGE_ADDR_SHIFT]
+                .get_or_insert_with(|| Box::new(Page::zeroed(slots)));
+            page.tree[slot & PAGE_ADDR_MASK] = self.epoch;
+        }
+    }
+
+    /// `true` when `p` was marked by [`Self::mark_tree`] in the current
+    /// search.
+    #[inline]
+    fn on_tree(&self, p: GridPoint) -> bool {
+        let slot = self.point_slot(p);
+        if !self.paged {
+            self.tree[slot] == self.epoch
+        } else {
+            self.pages[slot >> PAGE_ADDR_SHIFT]
+                .as_ref()
+                .is_some_and(|page| page.tree[slot & PAGE_ADDR_MASK] == self.epoch)
         }
     }
 
@@ -580,6 +635,15 @@ pub fn route_connection(
     let min_via = params.min_via_step();
 
     scratch.begin(window, grid.layer_count());
+    // Stamp the tree once (O(|tree|)) so both relaxation sites below
+    // read an array instead of hashing. The target stays traversable;
+    // points outside the window are never reached, and their window-
+    // local index would alias a point inside it.
+    for &t in tree_points {
+        if t != target && window.contains(t.x, t.y) {
+            scratch.mark_tree(t);
+        }
+    }
     for &p in sources.keys() {
         if !window.contains(p.x, p.y) {
             continue;
@@ -654,7 +718,7 @@ pub fn route_connection(
             if !grid.in_bounds(v) || !window.contains(v.x, v.y) {
                 continue;
             }
-            if tree_points.contains(&v) && v != target {
+            if scratch.on_tree(v) {
                 continue; // never traverse the existing tree
             }
             if state.wire_blocked[v] {
@@ -678,7 +742,7 @@ pub fn route_connection(
                     continue;
                 }
             }
-            if tree_points.contains(&v) && v != target {
+            if scratch.on_tree(v) {
                 continue;
             }
             if state.wire_blocked[v] {
@@ -892,7 +956,7 @@ mod tests {
     use crate::costs::CostParams;
     use crate::dijkstra::{route_net, route_net_with};
     use benchgen::BenchSpec;
-    use sadp_grid::{Net, Netlist, Pin, RoutingGrid, SadpKind};
+    use sadp_grid::{Net, Netlist, Pin, RoutedNet, RoutingGrid, SadpKind};
 
     fn state_with(nets: Vec<Net>) -> (Netlist, RouterState) {
         let mut nl = Netlist::new();
@@ -1250,5 +1314,225 @@ mod tests {
             scratch.allocated_pages(),
             scratch.pages.len()
         );
+    }
+
+    /// The sources and tree points a routed net presents to the kernel
+    /// when it is the partial tree of a later connection.
+    fn tree_of(
+        st: &RouterState,
+        route: &RoutedNet,
+    ) -> (HashMap<GridPoint, Vec<Dir>>, HashSet<GridPoint>) {
+        let mut tree = HashSet::new();
+        for e in route.edges() {
+            tree.extend(e.endpoints());
+        }
+        for v in route.vias() {
+            tree.insert(v.bottom());
+            tree.insert(v.top());
+        }
+        let sources = tree
+            .iter()
+            .filter(|t| st.grid.is_routing_layer(t.layer))
+            .map(|&t| (t, route.arm_dirs(t)))
+            .collect();
+        (sources, tree)
+    }
+
+    /// Runs one connection through the dense kernel and the reference
+    /// (fed only the in-window sources, which is what the dense kernel
+    /// searches from), asserts equal reachability and cost, checks the
+    /// scratch's tree marks point by point, and checks that the dense
+    /// path touches the tree only at its start.
+    fn differential(
+        st: &RouterState,
+        net: NetId,
+        (sources, tree): &(HashMap<GridPoint, Vec<Dir>>, HashSet<GridPoint>),
+        target: GridPoint,
+        window: Window,
+        scratch: &mut SearchScratch,
+    ) -> Option<FoundPath> {
+        let in_window: HashMap<GridPoint, Vec<Dir>> = sources
+            .iter()
+            .filter(|(p, _)| window.contains(p.x, p.y))
+            .map(|(&p, arms)| (p, arms.clone()))
+            .collect();
+        let dense = route_connection(st, net, sources, tree, target, window, scratch);
+        // Every in-window point reads as marked exactly when it is a
+        // tree point other than the target (no aliasing, no leaks).
+        for layer in 0..st.grid.layer_count() {
+            for x in window.x0..=window.x1 {
+                for y in window.y0..=window.y1 {
+                    let p = GridPoint::new(layer, x, y);
+                    let expect = tree.contains(&p) && p != target;
+                    assert_eq!(scratch.on_tree(p), expect, "tree mark at {p}");
+                }
+            }
+        }
+        let reference = route_connection_reference(st, net, &in_window, tree, target, window);
+        match (&dense, &reference) {
+            (Some(a), Some(b)) => {
+                assert_eq!(a.cost, b.cost, "cost mismatch routing to {target}");
+                let mut points: HashSet<GridPoint> = HashSet::new();
+                for e in &a.edges {
+                    points.extend(e.endpoints());
+                }
+                for v in &a.vias {
+                    points.insert(v.bottom());
+                    points.insert(v.top());
+                }
+                let touched = points.iter().filter(|p| tree.contains(p)).count();
+                let expect = if tree.contains(&target) { 0 } else { 1 };
+                assert_eq!(touched, expect, "path to {target} traverses the tree");
+            }
+            (None, None) => {}
+            _ => panic!(
+                "reachability mismatch routing to {target}: dense={dense:?} reference={reference:?}"
+            ),
+        }
+        dense
+    }
+
+    /// A target right next to the tree must stay reachable in one step
+    /// while every other tree cell stays blocked.
+    #[test]
+    fn tree_marks_targets_adjacent_to_the_tree() {
+        let (nl, st) = state_with(vec![
+            Net::new("t", vec![Pin::new(4, 8), Pin::new(16, 14)]),
+            Net::new("u", vec![Pin::new(2, 20), Pin::new(20, 3)]),
+        ]);
+        let mut scratch = SearchScratch::new();
+        let route = route_net(&st, NetId(0), &nl[NetId(0)], &mut scratch).expect("routable");
+        let tree = tree_of(&st, &route);
+        let window = Window::around([(0, 0), (23, 23)], 0, 24, 24).unwrap();
+        let mut checked = 0;
+        for &t in tree.1.iter().filter(|t| st.grid.is_routing_layer(t.layer)) {
+            for dir in Dir::PLANAR {
+                let target = t.stepped(dir);
+                if !st.grid.in_bounds(target) || tree.1.contains(&target) {
+                    continue;
+                }
+                let found = differential(&st, NetId(0), &tree, target, window, &mut scratch);
+                assert!(found.is_some(), "adjacent target {target} unreachable");
+                checked += 1;
+            }
+        }
+        assert!(checked > 10, "too few adjacent targets ({checked})");
+        // A target on the tree itself is reached at no cost, and is the
+        // one tree point left unmarked.
+        let on_tree = GridPoint::new(1, 4, 8);
+        assert!(tree.1.contains(&on_tree));
+        let found = differential(&st, NetId(0), &tree, on_tree, window, &mut scratch);
+        assert_eq!(found.map(|f| f.cost), Some(0));
+    }
+
+    /// Tree points outside the window are neither sources nor marks:
+    /// the window-local mark array must not alias them onto cells
+    /// inside the window.
+    #[test]
+    fn tree_marks_ignore_tree_points_outside_the_window() {
+        let (nl, st) = state_with(vec![Net::new(
+            "t",
+            vec![Pin::new(1, 2), Pin::new(22, 21), Pin::new(3, 20)],
+        )]);
+        let mut scratch = SearchScratch::new();
+        let route = route_net(&st, NetId(0), &nl[NetId(0)], &mut scratch).expect("routable");
+        let tree = tree_of(&st, &route);
+        let mut partial = 0;
+        for (x0, y0, x1, y1) in [
+            (0, 0, 11, 11),
+            (6, 6, 17, 17),
+            (12, 0, 23, 11),
+            (0, 12, 9, 23),
+        ] {
+            let window = Window { x0, y0, x1, y1 };
+            let outside = tree.1.iter().filter(|t| !window.contains(t.x, t.y)).count();
+            let inside = tree.1.len() - outside;
+            if outside == 0 || inside == 0 {
+                continue;
+            }
+            partial += 1;
+            for (tx, ty) in [(x0, y0), (x1, y1), ((x0 + x1) / 2, (y0 + y1) / 2), (x0, y1)] {
+                let target = GridPoint::new(1, tx, ty);
+                if !tree.1.contains(&target) {
+                    differential(&st, NetId(0), &tree, target, window, &mut scratch);
+                }
+            }
+        }
+        assert!(partial >= 2, "windows must cut the tree ({partial})");
+    }
+
+    /// Paged windows keep their tree marks in the tile pages.
+    #[test]
+    fn tree_marks_in_paged_windows() {
+        let grid = RoutingGrid::three_layer(480, 480);
+        let mut nl = Netlist::new();
+        nl.push(Net::new("t", vec![Pin::new(40, 60), Pin::new(90, 75)]));
+        let st = RouterState::new(grid, &nl, SadpKind::Sid, CostParams::default(), true, true);
+        let mut scratch = SearchScratch::new();
+        let route = route_net(&st, NetId(0), &nl[NetId(0)], &mut scratch).expect("routable");
+        let tree = tree_of(&st, &route);
+        let full = Window::around([(0, 0), (479, 479)], 0, 480, 480).unwrap();
+        for target in [
+            GridPoint::new(1, 41, 60),
+            GridPoint::new(2, 65, 80),
+            GridPoint::new(1, 130, 40),
+        ] {
+            assert!(!tree.1.contains(&target));
+            let found = differential(&st, NetId(0), &tree, target, full, &mut scratch);
+            assert!(found.is_some(), "paged search must reach {target}");
+            assert!(scratch.paged, "window must run in paged mode");
+        }
+    }
+
+    /// Back-to-back searches on one scratch: the previous search's tree
+    /// cells must be traversable again, in the same window and in a
+    /// differently shaped one, and routes must match a fresh scratch.
+    #[test]
+    fn tree_marks_do_not_leak_between_searches() {
+        let (nl, st) = state_with(vec![
+            Net::new("a", vec![Pin::new(4, 12), Pin::new(20, 12)]),
+            Net::new("b", vec![Pin::new(12, 3), Pin::new(12, 21)]),
+        ]);
+        let mut fresh = SearchScratch::new();
+        let a = tree_of(
+            &st,
+            &route_net(&st, NetId(0), &nl[NetId(0)], &mut fresh).unwrap(),
+        );
+        let on_a = GridPoint::new(1, 12, 12);
+        assert!(a.1.contains(&on_a), "a runs straight along y = 12");
+        let b_pad = GridPoint::new(1, 12, 3);
+        let b = (HashMap::from([(b_pad, Vec::new())]), HashSet::from([b_pad]));
+        let whole = Window::around([(0, 0), (23, 23)], 0, 24, 24).unwrap();
+        let narrow = Window::around([(12, 3), (12, 21)], 3, 24, 24).unwrap();
+        for b_window in [whole, narrow] {
+            // One target on a's former tree, one across it.
+            for b_target in [on_a, GridPoint::new(1, 12, 21)] {
+                let mut scratch = SearchScratch::new();
+                differential(
+                    &st,
+                    NetId(0),
+                    &a,
+                    GridPoint::new(1, 12, 16),
+                    whole,
+                    &mut scratch,
+                );
+                let reused = differential(&st, NetId(1), &b, b_target, b_window, &mut scratch)
+                    .expect("b routes onto and across a's former tree");
+                let clean = route_connection(
+                    &st,
+                    NetId(1),
+                    &b.0,
+                    &b.1,
+                    b_target,
+                    b_window,
+                    &mut SearchScratch::new(),
+                )
+                .unwrap();
+                assert_eq!(
+                    (reused.edges, reused.vias, reused.cost),
+                    (clean.edges, clean.vias, clean.cost)
+                );
+            }
+        }
     }
 }

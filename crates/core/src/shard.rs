@@ -24,11 +24,13 @@
 //!    ([`RouterState::suspend_route`]). Disjointness confines each
 //!    entry's mutations to its own footprint, so entry *k*'s search
 //!    window sees exactly the state the serial schedule would show it.
-//! 3. **Search (parallel).** Workers route the victims with the
-//!    first-rung window only ([`route_net_windowed`]) against a shared
-//!    `&RouterState`, each on its own scratch from the session's
-//!    scratch pool ([`sadp_exec::try_map_with`]). A net that would
-//!    need window escalation reports a *spill* instead of a route.
+//! 3. **Search (parallel).** The calling thread and parked workers of
+//!    the persistent execution pool ([`sadp_exec::try_map_with`])
+//!    route the victims with the first-rung window only
+//!    ([`route_net_windowed`]) against a shared `&RouterState`, each
+//!    participant on its own scratch from the session's scratch pool
+//!    (the caller on the first). A net that would need window
+//!    escalation reports a *spill* instead of a route.
 //! 4. **Commit (serial, task order).** Replay the wave in queue
 //!    order: per entry, budget check first (exactly like the serial
 //!    loop's pre-pop check), then counters, install, and requeues. A
