@@ -11,7 +11,7 @@ use sadp_grid::SadpKind;
 use sadp_router::dijkstra::{route_net, route_net_with};
 use sadp_router::search::route_connection_reference;
 use sadp_router::state::RouterState;
-use sadp_router::{CostParams, Router, RouterConfig, SearchScratch};
+use sadp_router::{CostParams, RouterConfig, RoutingSession, SearchScratch};
 use tpl_decomp::{welsh_powell, window_is_fvp, DecompGraph, FvpIndex};
 
 fn bench_fvp(c: &mut Criterion) {
@@ -88,8 +88,8 @@ fn bench_bilp(c: &mut Criterion) {
 fn routed_problem() -> DviProblem {
     let spec = BenchSpec::paper_suite()[0].scaled(0.04);
     let netlist = spec.generate(1);
-    let out = Router::new(spec.grid(), netlist, RouterConfig::full(SadpKind::Sim))
-        .try_run(&mut sadp_trace::NoopObserver)
+    let out = RoutingSession::try_new(&spec.grid(), &netlist, RouterConfig::full(SadpKind::Sim))
+        .and_then(|s| s.try_finish(&mut sadp_trace::NoopObserver))
         .expect("full flow");
     DviProblem::build(SadpKind::Sim, &out.solution)
 }
@@ -150,14 +150,10 @@ fn bench_router(c: &mut Criterion) {
     let netlist = spec.generate(1);
     c.bench_function("router/full_flow_tiny_circuit", |b| {
         b.iter(|| {
-            Router::new(
-                spec.grid(),
-                netlist.clone(),
-                RouterConfig::full(SadpKind::Sim),
-            )
-            .try_run(&mut sadp_trace::NoopObserver)
-            .expect("full flow")
-            .stats
+            RoutingSession::try_new(&spec.grid(), &netlist, RouterConfig::full(SadpKind::Sim))
+                .and_then(|s| s.try_finish(&mut sadp_trace::NoopObserver))
+                .expect("full flow")
+                .stats
         })
     });
 }

@@ -100,7 +100,7 @@ fn main() {
             &input.netlist,
             RouterConfig::full(SadpKind::Sim),
         )
-        .run_with(&mut NoopObserver);
+        .finish(&mut NoopObserver);
         let problem = DviProblem::build(SadpKind::Sim, &out.solution);
         let mut dead = Vec::with_capacity(variants.len());
         let mut log = String::new();
@@ -158,7 +158,7 @@ fn main() {
             .build()
             .expect("ablation params are valid");
         let out =
-            RoutingSession::new(&input.grid, &input.netlist, config).run_with(&mut NoopObserver);
+            RoutingSession::new(&input.grid, &input.netlist, config).finish(&mut NoopObserver);
         let problem = DviProblem::build(SadpKind::Sim, &out.solution);
         let h = solve_heuristic(&problem, &DviParams::default());
         let log = format!(
@@ -210,7 +210,7 @@ fn main() {
             &input.netlist,
             RouterConfig::full(SadpKind::Sim),
         )
-        .run_with(&mut NoopObserver);
+        .finish(&mut NoopObserver);
         let problem = DviProblem::build(SadpKind::Sim, &out.solution);
         let h = solve_heuristic(&problem, &DviParams::default());
         let hi = solve_heuristic_improved(&problem, &DviParams::default());

@@ -32,7 +32,7 @@ use benchgen::BenchSpec;
 use dvi::candidates::reference;
 use dvi::{feasible_candidate, LayoutView};
 use sadp_grid::{Dir, NetId, RoutedNet, RoutingSolution, SadpKind};
-use sadp_router::{Router, RouterConfig};
+use sadp_router::{RouterConfig, RoutingSession};
 
 struct PassRun {
     total_ns: u128,
@@ -164,9 +164,10 @@ fn main() {
     // equally.
     let per_spec: Vec<(String, f64, String)> = sadp_exec::map(&suite, |spec| {
         let netlist = spec.generate(seed);
-        let outcome = Router::new(spec.grid(), netlist, RouterConfig::full(SadpKind::Sim))
-            .try_run(&mut sadp_trace::NoopObserver)
-            .expect("full flow");
+        let outcome =
+            RoutingSession::try_new(&spec.grid(), &netlist, RouterConfig::full(SadpKind::Sim))
+                .and_then(|s| s.try_finish(&mut sadp_trace::NoopObserver))
+                .expect("full flow");
         let solution = outcome.solution;
         let routes: Vec<(NetId, RoutedNet)> = solution
             .iter()

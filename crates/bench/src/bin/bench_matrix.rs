@@ -32,12 +32,11 @@ use bench_suite::{four_arms, run_arm, ArmInput, ArmMetrics, RunArgs};
 use sadp_grid::SadpKind;
 
 /// Everything deterministic about one arm's outcome — CPU times are
-/// excluded, they legitimately differ run to run.
+/// excluded, they legitimately differ run to run. The routing side is
+/// the service's full-solution `outcome_fingerprint`; `dv`/`uv` cover
+/// the post-routing DVI pass.
 fn fingerprint(m: &ArmMetrics) -> String {
-    format!(
-        "wl={} vias={} dv={} uv={} routed={}",
-        m.wl, m.vias, m.dv, m.uv, m.routed
-    )
+    format!("fp={:016x} dv={} uv={}", m.fingerprint, m.dv, m.uv)
 }
 
 fn run_matrix(inputs: &[ArmInput], args: &RunArgs, threads: usize) -> (Vec<String>, f64) {

@@ -229,7 +229,7 @@ fn main() {
     let t0 = Instant::now();
     let cold = RoutingSession::try_new(&grid, &netlist, router_config)
         .expect("session builds")
-        .run_with(&mut obs);
+        .finish(&mut obs);
     let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
     // The snapshot a crashed worker would have left mid-run.
     let checkpoint = {

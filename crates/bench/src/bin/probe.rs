@@ -4,7 +4,7 @@
 use benchgen::BenchSpec;
 use dvi::{solve_heuristic, solve_ilp_lazy, DviParams, DviProblem, LazyIlpOptions};
 use sadp_grid::SadpKind;
-use sadp_router::{Router, RouterConfig};
+use sadp_router::{RouterConfig, RoutingSession};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "ecc".into());
@@ -33,8 +33,8 @@ fn main() {
         spec.height
     );
     let t = std::time::Instant::now();
-    let out = Router::new(spec.grid(), nl, config)
-        .try_run(&mut sadp_trace::NoopObserver)
+    let out = RoutingSession::try_new(&spec.grid(), &nl, config)
+        .and_then(|s| s.try_finish(&mut sadp_trace::NoopObserver))
         .expect("full flow");
     println!(
         "route: ok={} cong={} fvp={} col={} WL={} vias={} in {:.1?}",

@@ -165,6 +165,9 @@ pub struct ArmMetrics {
     pub dvi_cpu: f64,
     /// 100% routability achieved.
     pub routed: bool,
+    /// [`sadp_service::outcome_fingerprint`] of the routing outcome:
+    /// the full solution plus its quality flags and headline stats.
+    pub fingerprint: u64,
 }
 
 /// One circuit's generated inputs, prepared **once** and borrowed by
@@ -210,7 +213,7 @@ pub fn run_arm_observed(
     if let Some(deadline) = args.time_budget {
         session.set_budget(RouteBudget::unlimited().with_deadline(deadline));
     }
-    let outcome = session.run_with(obs);
+    let outcome = session.finish(obs);
     let problem = DviProblem::build(config.sadp, &outcome.solution);
     let (dv, uv, dvi_cpu) = match args.dvi_mode {
         DviMode::Heuristic => {
@@ -245,6 +248,7 @@ pub fn run_arm_observed(
         uv,
         dvi_cpu,
         routed: outcome.routed_all && outcome.congestion_free,
+        fingerprint: sadp_service::outcome_fingerprint(&outcome),
     }
 }
 
@@ -396,7 +400,7 @@ pub fn ilp_vs_heuristic_table(kind: SadpKind, title: &str) {
         .collect();
     let rows: Vec<([f64; 7], String)> = sadp_exec::map(&inputs, |input| {
         let outcome = RoutingSession::new(&input.grid, &input.netlist, RouterConfig::full(kind))
-            .run_with(&mut NoopObserver);
+            .finish(&mut NoopObserver);
         assert!(outcome.routed_all, "{}: unroutable", input.name);
         let problem = DviProblem::build(kind, &outcome.solution);
         let heur = solve_heuristic_observed(&problem, &DviParams::default(), &mut NoopObserver);

@@ -160,7 +160,7 @@ pub(crate) fn via_layers_colorable(state: &RouterState) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{Router, RouterConfig};
+    use crate::flow::{RouterConfig, RoutingSession};
     use sadp_grid::{Net, Netlist, Pin, RoutingGrid};
 
     #[test]
@@ -168,12 +168,12 @@ mod tests {
         let mut nl = Netlist::new();
         nl.push(Net::new("a", vec![Pin::new(4, 4), Pin::new(14, 4)]));
         nl.push(Net::new("b", vec![Pin::new(4, 10), Pin::new(14, 14)]));
-        let out = Router::new(
-            RoutingGrid::three_layer(20, 20),
-            nl.clone(),
+        let out = RoutingSession::try_new(
+            &RoutingGrid::three_layer(20, 20),
+            &nl,
             RouterConfig::full(SadpKind::Sim),
         )
-        .try_run(&mut sadp_trace::NoopObserver)
+        .and_then(|s| s.try_finish(&mut sadp_trace::NoopObserver))
         .expect("full flow");
         let audit = full_audit(SadpKind::Sim, &out.solution, &nl);
         assert!(audit.is_clean(), "{audit:?}");
@@ -188,12 +188,12 @@ mod tests {
         nl.push(Net::new("b", vec![Pin::new(4, 10), Pin::new(14, 14)]));
         nl.push(Net::new("c", vec![Pin::new(8, 16), Pin::new(16, 8)]));
         for kind in SadpKind::VARIANTS {
-            let out = Router::new(
-                RoutingGrid::three_layer(20, 20),
-                nl.clone(),
+            let out = RoutingSession::try_new(
+                &RoutingGrid::three_layer(20, 20),
+                &nl,
                 RouterConfig::full(kind),
             )
-            .try_run(&mut sadp_trace::NoopObserver)
+            .and_then(|s| s.try_finish(&mut sadp_trace::NoopObserver))
             .expect("full flow");
             let v = mask_audit(kind, &out.solution).expect("decomposable");
             assert_eq!(v, 0, "{kind}: mask DRC violations");

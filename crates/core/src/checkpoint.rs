@@ -111,11 +111,11 @@ fn netlist_fingerprint(grid: &RoutingGrid, netlist: &Netlist) -> u64 {
     fnv1a(write_netlist(grid, netlist).as_bytes())
 }
 
-/// FNV-1a fingerprint binding a checkpoint to its configuration. The
-/// `Debug` form covers every routing-relevant knob (process kind,
-/// cost parameters, phase caps, coloring attempts); execution-only
-/// knobs (threads, sharding) are output-invariant by contract but
-/// harmless to include.
+/// FNV-1a fingerprint binding a checkpoint to its configuration.
+/// [`RouterConfig`] holds only routing knobs (process kind, the DVI
+/// and TPL switches, cost parameters, phase caps, coloring attempts),
+/// so its `Debug` form is exactly the binding: a checkpoint restores
+/// under any pool width.
 fn config_fingerprint(config: &RouterConfig) -> u64 {
     fnv1a(format!("{config:?}").as_bytes())
 }

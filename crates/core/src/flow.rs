@@ -3,20 +3,15 @@
 //! congestion R&R → via-layer TPL violation removal R&R →
 //! 3-colorability check → done.
 //!
-//! Two surfaces drive it:
-//!
-//! * [`RoutingSession`] — the staged API: `new → initial_route →
-//!   negotiate → tpl_removal → ensure_colorable → finish`. It borrows
-//!   the grid and netlist, takes a [`RouteObserver`] per stage, and
-//!   lets callers inspect or stop the flow between phases. A
-//!   [`RouteBudget`] installed with [`RoutingSession::set_budget`]
-//!   bounds the work; exhaustion leaves the session in a valid,
-//!   resumable state (install a fresh budget and call the phase
-//!   methods again) and tags the eventual outcome with a
-//!   [`Termination`] reason.
-//! * [`Router`] — the original one-shot wrapper, now a thin shim over
-//!   a session driven with whatever observer is supplied
-//!   ([`Router::run`] uses the zero-overhead [`NoopObserver`]).
+//! [`RoutingSession`] is the one entry point: `new → initial_route →
+//! negotiate → tpl_removal → ensure_colorable → finish`. It borrows
+//! the grid and netlist, takes a [`RouteObserver`] per stage, and lets
+//! callers inspect or stop the flow between phases; calling only
+//! `finish` runs the whole flow. A [`RouteBudget`] installed with
+//! [`RoutingSession::set_budget`] bounds the work; exhaustion leaves
+//! the session in a valid, resumable state (install a fresh budget
+//! and call the phase methods again) and tags the eventual outcome
+//! with a [`Termination`] reason.
 //!
 //! The fallible twins [`RoutingSession::try_new`] and
 //! [`RoutingSession::try_finish`] return structured [`RouteError`]s
@@ -32,7 +27,7 @@ use sadp_grid::{
     DeltaOp, LayoutDelta, Net, NetId, Netlist, Pin, RouteError, RoutingGrid, RoutingSolution,
     SadpKind, SolutionStats,
 };
-use sadp_trace::{Counter, JsonReport, NoopObserver, Phase, RouteObserver};
+use sadp_trace::{Counter, JsonReport, Phase, RouteObserver};
 
 use crate::budget::{ActiveBudget, RouteBudget, Termination};
 use crate::costs::CostParams;
@@ -40,8 +35,8 @@ use crate::rnr::{
     ensure_colorable_budgeted, initial_routing_budgeted, negotiate_congestion_budgeted,
     tpl_violation_removal_budgeted, CongestionWork, InitialWork, PinIndex, RnrStats, TplWork,
 };
-use crate::search::{QueueKind, SearchScratch};
-use crate::shard::{self, ShardParams};
+use crate::search::SearchScratch;
+use crate::shard;
 use crate::state::RouterState;
 
 /// Failpoint name for an injected delay at the start of every phase
@@ -55,13 +50,14 @@ pub const MAX_ITER_CAP: usize = 50_000_000;
 /// Upper bound accepted for the coloring-fix attempt count.
 pub const MAX_COLORING_ATTEMPTS: usize = 10_000;
 
-/// Upper bound accepted for an explicit [`RouterConfig::threads`]
-/// width (anything larger is almost certainly a unit mistake).
-pub const MAX_THREADS: usize = 1024;
-
 /// Configuration of one routing run — the four experiment arms of the
 /// paper's Tables III/IV are spanned by `consider_dvi` ×
 /// `consider_tpl`.
+///
+/// It holds only the paper's routing knobs. How the flow executes —
+/// the pool width, set by `sadp_exec::with_threads` or
+/// `SADP_EXEC_THREADS` — never changes the outcome and is not part of
+/// the configuration.
 ///
 /// Construct validated configurations with [`RouterConfig::builder`];
 /// the four arm shorthands ([`RouterConfig::baseline`],
@@ -85,17 +81,6 @@ pub struct RouterConfig {
     pub max_tpl_iters: usize,
     /// Attempts of the final coloring-fix loop.
     pub coloring_attempts: usize,
-    /// Execution-pool width for this run's parallel work (the sharded
-    /// R&R scheduler, coloring fan-outs, audits). `0` inherits the
-    /// process default: the `SADP_EXEC_THREADS` override read by
-    /// `sadp-exec`, else every core. None of these values change
-    /// routing output — only wall clock.
-    pub threads: usize,
-    /// Tuning of the intra-instance sharded R&R scheduler
-    /// (output-invariant; see [`ShardParams`]).
-    pub shard: ShardParams,
-    /// A* open-set implementation ([`QueueKind`]; output-invariant).
-    pub queue: QueueKind,
 }
 
 /// A [`RouterConfig`] field rejected by
@@ -112,10 +97,6 @@ pub enum ConfigError {
     NegativeCostWeight(&'static str, i64),
     /// A cost factor that must be ≥ 1 was smaller.
     CostFactorBelowOne(&'static str, i64),
-    /// `threads` above [`MAX_THREADS`].
-    Threads(usize),
-    /// `shard.region` must be ≥ 1.
-    ShardRegion(i32),
 }
 
 impl fmt::Display for ConfigError {
@@ -138,15 +119,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::CostFactorBelowOne(name, v) => {
                 write!(f, "cost factor {name} must be >= 1, got {v}")
-            }
-            ConfigError::Threads(n) => {
-                write!(
-                    f,
-                    "threads must be 0 (inherit) or <= {MAX_THREADS}, got {n}"
-                )
-            }
-            ConfigError::ShardRegion(r) => {
-                write!(f, "shard.region must be >= 1, got {r}")
             }
         }
     }
@@ -218,25 +190,6 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Pins the execution-pool width for this run (0 = inherit the
-    /// process default). Output-invariant.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Overrides the sharded R&R scheduler tuning. Output-invariant.
-    pub fn shard(mut self, params: ShardParams) -> Self {
-        self.config.shard = params;
-        self
-    }
-
-    /// Selects the A* open-set implementation. Output-invariant.
-    pub fn queue(mut self, kind: QueueKind) -> Self {
-        self.config.queue = kind;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -278,27 +231,16 @@ impl RouterConfigBuilder {
                 return Err(ConfigError::CostFactorBelowOne(name, v));
             }
         }
-        if c.threads > MAX_THREADS {
-            return Err(ConfigError::Threads(c.threads));
-        }
-        if c.shard.region < 1 {
-            return Err(ConfigError::ShardRegion(c.shard.region));
-        }
         Ok(self.config)
     }
 }
 
 impl RouterConfig {
-    /// Starts a validating builder from the baseline arm's defaults.
-    ///
-    /// The execution knobs default through [`RouterConfig::from_env`]
-    /// — the single fallback layer where the environment overrides
-    /// (`SADP_SHARD`, `SADP_SHARD_REGION`, `SADP_SEARCH_QUEUE`; plus
-    /// `SADP_EXEC_THREADS` via `threads == 0`) enter a configuration.
-    /// Everything a run does is then determined by the `RouterConfig`
-    /// value alone: a session never consults the environment itself.
+    /// Starts a validating builder from the baseline arm's defaults
+    /// (Table II costs, automatic R&R caps, three coloring attempts).
+    /// The built value is the whole configuration: run it with
+    /// [`RoutingSession::try_new`] and [`RoutingSession::try_finish`].
     pub fn builder(sadp: SadpKind) -> RouterConfigBuilder {
-        let (threads, shard, queue) = RouterConfig::from_env();
         RouterConfigBuilder {
             config: RouterConfig {
                 sadp,
@@ -308,21 +250,8 @@ impl RouterConfig {
                 max_congestion_iters: 0,
                 max_tpl_iters: 0,
                 coloring_attempts: 3,
-                threads,
-                shard,
-                queue,
             },
         }
-    }
-
-    /// The environment-derived execution knobs `(threads, shard,
-    /// queue)`: the one place the routing stack reads its env-var
-    /// overrides. `threads` is always 0 here (= inherit, so
-    /// `SADP_EXEC_THREADS` keeps applying at pool-dispatch time);
-    /// `shard` comes from `SADP_SHARD` / `SADP_SHARD_REGION`, `queue`
-    /// from `SADP_SEARCH_QUEUE`.
-    pub fn from_env() -> (usize, ShardParams, QueueKind) {
-        (0, ShardParams::from_env(), QueueKind::from_env())
     }
 
     /// Plain SADP-aware routing (the baseline arm).
@@ -430,9 +359,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// experiment arms no longer forces a `netlist.clone()` and a grid
 /// rebuild per arm. Each stage runs any prerequisite stages that have
 /// not finished yet, so calling only [`RoutingSession::finish`] after
-/// `new` still produces a complete run (the compatibility path
-/// [`Router::run`] does exactly that via
-/// [`RoutingSession::run_with`]).
+/// `new` still produces a complete run.
 ///
 /// # Budgets and resumption
 ///
@@ -459,7 +386,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// let (clean, _stats) = session.negotiate(&mut report);
 /// assert!(clean);
 /// // ... inspect session.solution() here, then continue ...
-/// let outcome = session.run_with(&mut report);
+/// let outcome = session.finish(&mut report);
 /// assert!(outcome.routed_all);
 /// outcome.record_into(&mut report);
 /// ```
@@ -478,8 +405,10 @@ pub struct RoutingSession<'a> {
     /// Per-worker scratches of the sharded R&R scheduler, reused
     /// across waves and phase activations.
     pub(crate) shard_pool: Vec<SearchScratch>,
-    /// Tuning of the sharded scheduler (output-invariant).
-    pub(crate) shard_params: ShardParams,
+    /// Claim-bitmap region size of the sharded scheduler
+    /// ([`shard::SHARD_REGION`]; unit tests vary it, which never
+    /// changes the outcome).
+    pub(crate) shard_region: i32,
     pub(crate) start: Instant,
     pub(crate) budget: ActiveBudget,
     pub(crate) initial_work: InitialWork,
@@ -524,9 +453,9 @@ impl<'a> RoutingSession<'a> {
             config,
             pins: PinIndex::build(&state.grid, netlist),
             state,
-            scratch: SearchScratch::with_queue(config.queue),
+            scratch: SearchScratch::new(),
             shard_pool: Vec::new(),
-            shard_params: config.shard,
+            shard_region: shard::SHARD_REGION,
             start: Instant::now(),
             budget: ActiveBudget::unlimited(),
             initial_work: InitialWork::default(),
@@ -622,19 +551,6 @@ impl<'a> RoutingSession<'a> {
         self.scratch.set_expansion_stop(self.budget.expansion_stop);
     }
 
-    /// Overrides the sharded-scheduler tuning (region size, wave cap,
-    /// on/off) for all subsequent work. The knobs never change routing
-    /// output — only how much of the serial schedule is overlapped.
-    pub fn set_shard_params(&mut self, params: ShardParams) {
-        self.shard_params = params;
-    }
-
-    /// Pins the execution-pool width to the config's `threads` for the
-    /// duration of a phase activation (no-op when 0 = inherit).
-    fn exec_override(&self) -> Option<sadp_exec::ThreadsGuard> {
-        (self.config.threads > 0).then(|| sadp_exec::push_threads(self.config.threads))
-    }
-
     /// How the work done so far stopped: the first phase's
     /// non-converged stop reason, or [`Termination::Converged`].
     pub fn termination(&self) -> Termination {
@@ -673,7 +589,7 @@ impl<'a> RoutingSession<'a> {
         let limits = self.budget.limits(usize::MAX);
         obs.phase_start(Phase::InitialRouting);
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
-        let t = if shard::should_shard(self.shard_params, &limits, &self.state) {
+        let t = if shard::should_shard(&limits, &self.state) {
             match crate::shard::initial_routing_sharded(
                 &mut self.state,
                 self.netlist,
@@ -682,7 +598,7 @@ impl<'a> RoutingSession<'a> {
                 &mut self.failed,
                 &mut self.scratch,
                 &mut self.shard_pool,
-                self.shard_params,
+                self.shard_region,
                 obs,
             ) {
                 Ok(t) => t,
@@ -726,7 +642,7 @@ impl<'a> RoutingSession<'a> {
         let limits = self.budget.limits(config_cap);
         obs.phase_start(Phase::CongestionNegotiation);
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
-        let (clean, stats) = if shard::should_shard(self.shard_params, &limits, &self.state) {
+        let (clean, stats) = if shard::should_shard(&limits, &self.state) {
             let (result, stats) = crate::shard::negotiate_congestion_sharded(
                 &mut self.state,
                 self.netlist,
@@ -735,7 +651,7 @@ impl<'a> RoutingSession<'a> {
                 &mut self.congestion_work,
                 &mut self.scratch,
                 &mut self.shard_pool,
-                self.shard_params,
+                self.shard_region,
                 obs,
             );
             match result {
@@ -872,7 +788,6 @@ impl<'a> RoutingSession<'a> {
     /// budget stopped a previous activation, calling this again
     /// continues with the next net.
     pub fn initial_route(&mut self, obs: &mut impl RouteObserver) -> &[NetId] {
-        let _exec = self.exec_override();
         if self.initial_term != Some(Termination::Converged) {
             self.run_initial(obs);
         }
@@ -884,7 +799,6 @@ impl<'a> RoutingSession<'a> {
     /// every activation. A budget-stopped activation is resumed by
     /// calling this again; a converged phase is not re-run.
     pub fn negotiate(&mut self, obs: &mut impl RouteObserver) -> (bool, RnrStats) {
-        let _exec = self.exec_override();
         if self.congestion_term != Some(Termination::Converged) {
             self.require_initial(obs);
             if self.initial_done() {
@@ -899,7 +813,6 @@ impl<'a> RoutingSession<'a> {
     /// records the stage as done and returns immediately. Returns
     /// `(clean, stats)` where clean means congestion- and FVP-free.
     pub fn tpl_removal(&mut self, obs: &mut impl RouteObserver) -> (bool, RnrStats) {
-        let _exec = self.exec_override();
         if self.tpl_term != Some(Termination::Converged) {
             self.require_negotiated(obs);
             if self.congestion_done {
@@ -916,7 +829,6 @@ impl<'a> RoutingSession<'a> {
     /// colorability verdict (`false` when the budget stopped the
     /// check before a verdict was reached — resume to get one).
     pub fn ensure_colorable(&mut self, obs: &mut impl RouteObserver) -> bool {
-        let _exec = self.exec_override();
         if self.coloring_term != Some(Termination::Converged) {
             self.require_tpl(obs);
             if self.tpl_done {
@@ -934,7 +846,6 @@ impl<'a> RoutingSession<'a> {
     /// [`Phase::Audit`] span. A budget-stopped run yields a valid
     /// partial outcome tagged with its [`Termination`] reason.
     pub fn finish(mut self, obs: &mut impl RouteObserver) -> RoutingOutcome {
-        let _exec = self.exec_override();
         self.require_coloring(obs);
         self.into_outcome(obs)
     }
@@ -951,7 +862,6 @@ impl<'a> RoutingSession<'a> {
         if let Some(f) = &self.fault {
             return Err(f.clone());
         }
-        let _exec = self.exec_override();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let mut session = self;
             session.require_coloring(obs);
@@ -1005,12 +915,6 @@ impl<'a> RoutingSession<'a> {
             congestion_stats: self.congestion_stats,
             tpl_stats: self.tpl_stats,
         }
-    }
-
-    /// Drives every remaining stage and finishes — the one-shot
-    /// convenience the [`Router`] wrapper and the bench harness use.
-    pub fn run_with(self, obs: &mut impl RouteObserver) -> RoutingOutcome {
-        self.finish(obs)
     }
 
     /// Warm-starts the session from a layout edit instead of routing
@@ -1211,72 +1115,11 @@ impl<'a> RoutingSession<'a> {
     }
 }
 
-/// The SADP-aware detailed router — the one-shot compatibility
-/// wrapper over [`RoutingSession`].
-///
-/// See the crate docs for the flow; construct with a grid, a placed
-/// netlist, and a [`RouterConfig`], then call [`Router::run`]. Callers
-/// that need per-phase observability, borrowing, budgets, or
-/// stage-by-stage control should use [`RoutingSession`] directly.
-#[derive(Debug)]
-pub struct Router {
-    grid: RoutingGrid,
-    netlist: Netlist,
-    config: RouterConfig,
-}
-
-impl Router {
-    /// Creates a router for one netlist.
-    pub fn new(grid: RoutingGrid, netlist: Netlist, config: RouterConfig) -> Router {
-        Router {
-            grid,
-            netlist,
-            config,
-        }
-    }
-
-    /// The netlist being routed.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
-    }
-
-    /// Runs the full flow with the zero-overhead observer and returns
-    /// the outcome.
-    ///
-    /// Panics on invalid inputs or contained worker faults — prefer
-    /// [`Router::try_run`] (or the staged [`RoutingSession`] API) in
-    /// anything that must not crash the caller.
-    #[deprecated(
-        since = "0.9.0",
-        note = "infallible entry point; use `Router::try_run` or the staged `RoutingSession` API"
-    )]
-    pub fn run(self) -> RoutingOutcome {
-        self.run_observed(&mut NoopObserver)
-    }
-
-    /// Runs the full flow, reporting phase spans and counters into
-    /// `obs`.
-    pub fn run_observed(self, obs: &mut impl RouteObserver) -> RoutingOutcome {
-        RoutingSession::new(&self.grid, &self.netlist, self.config).run_with(obs)
-    }
-
-    /// Fallible [`Router::run`]: validates inputs, contains panics,
-    /// and returns structured [`RouteError`]s.
-    ///
-    /// # Errors
-    ///
-    /// See [`RoutingSession::try_new`] and
-    /// [`RoutingSession::try_finish`].
-    pub fn try_run(self, obs: &mut impl RouteObserver) -> Result<RoutingOutcome, RouteError> {
-        RoutingSession::try_new(&self.grid, &self.netlist, self.config)?.try_finish(obs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sadp_grid::{Net, Pin};
-    use sadp_trace::{EventLog, TraceEvent};
+    use sadp_trace::{EventLog, NoopObserver, TraceEvent};
 
     fn small_netlist() -> Netlist {
         let mut nl = Netlist::new();
@@ -1290,16 +1133,15 @@ mod tests {
         nl
     }
 
+    fn route_small(config: RouterConfig) -> Result<RoutingOutcome, RouteError> {
+        let grid = RoutingGrid::three_layer(24, 24);
+        RoutingSession::try_new(&grid, &small_netlist(), config)?.try_finish(&mut NoopObserver)
+    }
+
     #[test]
     fn full_flow_produces_clean_solution() {
         for kind in SadpKind::ALL {
-            let out = Router::new(
-                RoutingGrid::three_layer(24, 24),
-                small_netlist(),
-                RouterConfig::full(kind),
-            )
-            .try_run(&mut NoopObserver)
-            .expect("full flow");
+            let out = route_small(RouterConfig::full(kind)).expect("full flow");
             assert!(out.routed_all, "{kind}: not all routed");
             assert!(out.congestion_free, "{kind}: congested");
             assert!(out.fvp_free, "{kind}: FVPs remain");
@@ -1312,13 +1154,7 @@ mod tests {
 
     #[test]
     fn baseline_flow_routes_everything() {
-        let out = Router::new(
-            RoutingGrid::three_layer(24, 24),
-            small_netlist(),
-            RouterConfig::baseline(SadpKind::Sim),
-        )
-        .try_run(&mut NoopObserver)
-        .expect("baseline flow");
+        let out = route_small(RouterConfig::baseline(SadpKind::Sim)).expect("baseline flow");
         assert!(out.routed_all);
         assert!(out.congestion_free);
     }
@@ -1326,30 +1162,9 @@ mod tests {
     #[test]
     fn router_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Router>();
         assert_send_sync::<RouterConfig>();
         assert_send_sync::<RoutingOutcome>();
         assert_send_sync::<RoutingSession<'static>>();
-    }
-
-    // Pins that the deprecated one-shot wrapper keeps working and
-    // keeps matching the staged session it delegates to.
-    #[test]
-    #[allow(deprecated)]
-    fn session_matches_router_run() {
-        let grid = RoutingGrid::three_layer(24, 24);
-        let nl = small_netlist();
-        let via_router =
-            Router::new(grid.clone(), nl.clone(), RouterConfig::full(SadpKind::Sim)).run();
-        let via_session = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim))
-            .run_with(&mut NoopObserver);
-        assert_eq!(via_router.stats, via_session.stats);
-        assert_eq!(via_router.routed_all, via_session.routed_all);
-        assert_eq!(via_router.congestion_free, via_session.congestion_free);
-        assert_eq!(via_router.fvp_free, via_session.fvp_free);
-        assert_eq!(via_router.colorable, via_session.colorable);
-        assert_eq!(via_router.congestion_stats, via_session.congestion_stats);
-        assert_eq!(via_router.tpl_stats, via_session.tpl_stats);
     }
 
     #[test]
@@ -1385,8 +1200,7 @@ mod tests {
         let grid = RoutingGrid::three_layer(24, 24);
         let nl = small_netlist();
         let mut log = EventLog::new();
-        let _ =
-            RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).run_with(&mut log);
+        let _ = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).finish(&mut log);
         assert_eq!(
             log.phase_sequence(),
             vec![
@@ -1405,8 +1219,8 @@ mod tests {
         let grid = RoutingGrid::three_layer(24, 24);
         let nl = small_netlist();
         let mut log = EventLog::new();
-        let _ = RoutingSession::new(&grid, &nl, RouterConfig::baseline(SadpKind::Sim))
-            .run_with(&mut log);
+        let _ =
+            RoutingSession::new(&grid, &nl, RouterConfig::baseline(SadpKind::Sim)).finish(&mut log);
         assert!(!log.phase_sequence().contains(&Phase::TplViolationRemoval));
         assert!(log.phase_sequence().contains(&Phase::ColoringFix));
     }
@@ -1566,70 +1380,24 @@ mod tests {
     }
 
     #[test]
-    fn execution_knobs_validate_and_are_output_invariant() {
-        assert_eq!(
-            RouterConfig::builder(SadpKind::Sim)
-                .threads(MAX_THREADS + 1)
-                .build()
-                .unwrap_err(),
-            ConfigError::Threads(MAX_THREADS + 1)
-        );
-        assert_eq!(
-            RouterConfig::builder(SadpKind::Sim)
-                .shard(ShardParams {
-                    enabled: true,
-                    region: 0,
-                    max_wave: 64,
-                })
-                .build()
-                .unwrap_err(),
-            ConfigError::ShardRegion(0)
-        );
-
-        // Every combination of the execution knobs routes to the same
-        // outcome as the defaults — they tune *how*, never *what*.
+    fn pool_width_is_output_invariant() {
+        // Every pool width routes to the same outcome as the serial
+        // run: the width tunes *how* the flow executes, never *what*
+        // it produces.
         let grid = RoutingGrid::three_layer(24, 24);
         let nl = small_netlist();
-        let reference = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim))
-            .run_with(&mut NoopObserver);
-        for threads in [1usize, 3] {
-            for shard_on in [false, true] {
-                for queue in [QueueKind::Dial, QueueKind::Heap] {
-                    let config = RouterConfig::builder(SadpKind::Sim)
-                        .dvi(true)
-                        .tpl(true)
-                        .threads(threads)
-                        .shard(ShardParams {
-                            enabled: shard_on,
-                            region: 8,
-                            max_wave: 64,
-                        })
-                        .queue(queue)
-                        .build()
-                        .unwrap();
-                    let out = RoutingSession::new(&grid, &nl, config).run_with(&mut NoopObserver);
-                    assert_eq!(
-                        out.stats, reference.stats,
-                        "threads={threads} shard={shard_on} queue={queue:?}"
-                    );
-                    assert_eq!(out.routed_all, reference.routed_all);
-                    assert_eq!(out.colorable, reference.colorable);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn session_queue_kind_follows_config() {
-        let grid = RoutingGrid::three_layer(24, 24);
-        let nl = small_netlist();
-        for queue in [QueueKind::Dial, QueueKind::Heap] {
-            let config = RouterConfig::builder(SadpKind::Sim)
-                .queue(queue)
-                .build()
-                .unwrap();
-            let s = RoutingSession::new(&grid, &nl, config);
-            assert_eq!(s.scratch.queue_kind(), queue);
+        let run = |threads: usize| {
+            sadp_exec::with_threads(threads, || {
+                RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim))
+                    .finish(&mut NoopObserver)
+            })
+        };
+        let reference = run(1);
+        for threads in [2usize, 3] {
+            let out = run(threads);
+            assert_eq!(out.stats, reference.stats, "threads={threads}");
+            assert_eq!(out.routed_all, reference.routed_all);
+            assert_eq!(out.colorable, reference.colorable);
         }
     }
 
@@ -1650,13 +1418,7 @@ mod tests {
 
     #[test]
     fn outcome_records_into_report() {
-        let out = Router::new(
-            RoutingGrid::three_layer(24, 24),
-            small_netlist(),
-            RouterConfig::full(SadpKind::Sim),
-        )
-        .try_run(&mut NoopObserver)
-        .expect("full flow");
+        let out = route_small(RouterConfig::full(SadpKind::Sim)).expect("full flow");
         let mut rep = JsonReport::new("unit");
         out.record_into(&mut rep);
         assert_eq!(rep.flag("congestion_free"), Some(true));
@@ -1672,7 +1434,7 @@ mod tests {
         let nl = small_netlist();
         let mut log = EventLog::new();
         let out =
-            RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).run_with(&mut log);
+            RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).finish(&mut log);
         assert_eq!(
             log.total(Phase::CongestionNegotiation, Counter::Reroutes),
             out.congestion_stats.reroutes as i64

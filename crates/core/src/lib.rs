@@ -23,15 +23,15 @@
 //!
 //! ```no_run
 //! use sadp_grid::{Net, Netlist, Pin, RoutingGrid, SadpKind};
-//! use sadp_router::{Router, RouterConfig};
+//! use sadp_router::{RouterConfig, RoutingSession};
 //! use sadp_trace::NoopObserver;
 //!
 //! let grid = RoutingGrid::three_layer(64, 64);
 //! let mut netlist = Netlist::new();
 //! netlist.push(Net::new("n0", vec![Pin::new(4, 4), Pin::new(20, 9)]));
 //! let config = RouterConfig::full(SadpKind::Sim);
-//! let outcome = Router::new(grid, netlist, config)
-//!     .try_run(&mut NoopObserver)
+//! let outcome = RoutingSession::try_new(&grid, &netlist, config)
+//!     .and_then(|session| session.try_finish(&mut NoopObserver))
 //!     .expect("valid inputs");
 //! assert!(outcome.routed_all);
 //! ```
@@ -49,7 +49,7 @@ pub mod eco;
 pub mod flow;
 pub mod rnr;
 pub mod search;
-pub mod shard;
+mod shard;
 pub mod state;
 
 pub use audit::{full_audit, full_audit_observed, mask_audit, FullAudit};
@@ -57,9 +57,6 @@ pub use budget::{PhaseLimits, RouteBudget, Termination};
 pub use checkpoint::CHECKPOINT_HEADER;
 pub use costs::CostParams;
 pub use eco::EcoPlan;
-pub use flow::{
-    ConfigError, Router, RouterConfig, RouterConfigBuilder, RoutingOutcome, RoutingSession,
-};
+pub use flow::{ConfigError, RouterConfig, RouterConfigBuilder, RoutingOutcome, RoutingSession};
 pub use sadp_grid::RouteError;
-pub use search::{QueueKind, SearchScratch};
-pub use shard::ShardParams;
+pub use search::SearchScratch;

@@ -35,10 +35,11 @@
 //!   backwards along the state's own incoming direction.
 //! * **Dial bucket-queue open set** — integer costs and a consistent
 //!   heuristic make the popped f-sequence monotone, so the open set
-//!   defaults to a [`DialQueue`] (O(1) push, near-O(1) pop) instead
-//!   of a binary heap; its pop order is *identical* to the heap's, so
-//!   routes are byte-for-byte the same under either. Select with
-//!   `SADP_SEARCH_QUEUE=heap|dial` or [`SearchScratch::with_queue`].
+//!   is a [`DialQueue`] (O(1) push, near-O(1) pop) instead of a binary
+//!   heap; its pop order is *identical* to the heap's, so routes are
+//!   byte-for-byte the same under either. The heap survives only as a
+//!   test oracle ([`SearchScratch::with_reference_heap`], behind the
+//!   same gate as [`route_connection_reference`]).
 //! * **Paged windows** — windows whose state count exceeds
 //!   [`FLAT_SLOT_LIMIT`] switch from the flat arrays to lazily
 //!   allocated 32×32-track tile pages, so a full-grid escalation on a
@@ -50,8 +51,11 @@
 //! open-set payload, where it keeps queue nodes at 16 bytes and gives
 //! a deterministic tie-break order.
 
+#[cfg(any(test, feature = "reference-search"))]
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+#[cfg(any(test, feature = "reference-search"))]
+use std::collections::BinaryHeap;
+use std::collections::{HashMap, HashSet};
 
 use sadp_decomp::{classify_turn, TurnClass};
 use sadp_grid::{Dir, GridPoint, NetId, TurnKind, Via, WireEdge};
@@ -195,35 +199,16 @@ pub(crate) fn unkey(k: u64) -> (GridPoint, u8) {
     (GridPoint::new(layer, sx, sy), (k & 0xFF) as u8)
 }
 
-/// Which open-set implementation a [`SearchScratch`] drives the
-/// search with. Both produce byte-identical routes; they differ only
-/// in speed characteristics (see [`DialQueue`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Dial bucket queue (default): O(1) pushes, monotone cursor pops.
-    Dial,
-    /// The original `BinaryHeap<Reverse<(f, key)>>`.
-    Heap,
-}
-
-impl QueueKind {
-    /// Reads the `SADP_SEARCH_QUEUE` toggle (`"heap"` or `"dial"`);
-    /// anything else — including unset — selects [`QueueKind::Dial`].
-    pub fn from_env() -> QueueKind {
-        match std::env::var("SADP_SEARCH_QUEUE").as_deref() {
-            Ok("heap") => QueueKind::Heap,
-            _ => QueueKind::Dial,
-        }
-    }
-}
-
 /// The open set behind [`SearchScratch`]: either kind pops strictly
 /// in ascending `(f, key)` order, including entries pushed mid-drain.
+/// Production builds have only the Dial queue; the binary heap is the
+/// differential oracle.
 #[derive(Debug, Clone)]
 enum OpenSet {
     /// Dial bucket queue.
     Dial(DialQueue),
-    /// Reference binary heap.
+    /// Reference binary heap (test oracle).
+    #[cfg(any(test, feature = "reference-search"))]
     Heap(BinaryHeap<Reverse<(i64, u64)>>),
 }
 
@@ -231,6 +216,7 @@ impl OpenSet {
     fn clear(&mut self) {
         match self {
             OpenSet::Dial(q) => q.clear(),
+            #[cfg(any(test, feature = "reference-search"))]
             OpenSet::Heap(h) => h.clear(),
         }
     }
@@ -239,6 +225,7 @@ impl OpenSet {
     fn push(&mut self, f: i64, key: u64) {
         match self {
             OpenSet::Dial(q) => q.push(f, key),
+            #[cfg(any(test, feature = "reference-search"))]
             OpenSet::Heap(h) => h.push(Reverse((f, key))),
         }
     }
@@ -247,6 +234,7 @@ impl OpenSet {
     fn pop(&mut self) -> Option<(i64, u64)> {
         match self {
             OpenSet::Dial(q) => q.pop(),
+            #[cfg(any(test, feature = "reference-search"))]
             OpenSet::Heap(h) => h.pop().map(|Reverse(p)| p),
         }
     }
@@ -350,16 +338,21 @@ impl Default for SearchScratch {
 }
 
 impl SearchScratch {
-    /// A scratch with empty buffers (they grow on first use), using
-    /// the open-set kind selected by `SADP_SEARCH_QUEUE` (Dial bucket
-    /// queue unless `=heap`).
+    /// A scratch with empty buffers (they grow on first use) and a
+    /// Dial bucket-queue open set.
     pub fn new() -> SearchScratch {
-        SearchScratch::with_queue(QueueKind::from_env())
+        SearchScratch::with_open_set(OpenSet::Dial(DialQueue::new()))
     }
 
-    /// A scratch with an explicit open-set kind (differential tests
-    /// and benchmarks; normal callers use [`SearchScratch::new`]).
-    pub fn with_queue(kind: QueueKind) -> SearchScratch {
+    /// A scratch whose open set is the reference `BinaryHeap`: the
+    /// oracle the Dial queue is tested against. Routes, expansion and
+    /// search counts are identical to [`SearchScratch::new`]'s.
+    #[cfg(any(test, feature = "reference-search"))]
+    pub fn with_reference_heap() -> SearchScratch {
+        SearchScratch::with_open_set(OpenSet::Heap(BinaryHeap::new()))
+    }
+
+    fn with_open_set(queue: OpenSet) -> SearchScratch {
         SearchScratch {
             stamp: Vec::new(),
             dist: Vec::new(),
@@ -369,10 +362,7 @@ impl SearchScratch {
             page_slots: 0,
             tiles_x: 0,
             paged: false,
-            queue: match kind {
-                QueueKind::Dial => OpenSet::Dial(DialQueue::new()),
-                QueueKind::Heap => OpenSet::Heap(BinaryHeap::new()),
-            },
+            queue,
             epoch: 0,
             x0: 0,
             y0: 0,
@@ -381,14 +371,6 @@ impl SearchScratch {
             expanded: 0,
             searches: 0,
             expansion_stop: None,
-        }
-    }
-
-    /// The open-set kind this scratch was created with.
-    pub fn queue_kind(&self) -> QueueKind {
-        match self.queue {
-            OpenSet::Dial(_) => QueueKind::Dial,
-            OpenSet::Heap(_) => QueueKind::Heap,
         }
     }
 
@@ -1167,48 +1149,71 @@ mod tests {
         );
     }
 
+    /// Routes every net of `nl` in id order on a fresh state (seeded by
+    /// `prepare`), installing each route, once with the Dial queue and
+    /// once with the reference heap, and asserts both runs produce the
+    /// same routes, expansion and search counts.
+    fn assert_queues_route_identically(
+        spec: &BenchSpec,
+        nl: &Netlist,
+        kind: SadpKind,
+        prepare: impl Fn(&mut RouterState),
+        what: &str,
+    ) {
+        let mut runs = Vec::new();
+        for mut scratch in [SearchScratch::new(), SearchScratch::with_reference_heap()] {
+            let mut st = RouterState::new(spec.grid(), nl, kind, CostParams::default(), true, true);
+            prepare(&mut st);
+            let mut routes = Vec::new();
+            for (id, net) in nl.iter() {
+                if let Some(r) = route_net(&st, id, net, &mut scratch) {
+                    st.install_route(id, r.clone());
+                    routes.push((id, r));
+                }
+            }
+            runs.push((routes, scratch.expanded, scratch.searches));
+        }
+        let (dial, heap) = (&runs[0], &runs[1]);
+        assert_eq!(dial.0, heap.0, "{what}: route divergence between queues");
+        assert_eq!(dial.1, heap.1, "{what}: expansion-count divergence");
+        assert_eq!(dial.2, heap.2, "{what}: search-count divergence");
+    }
+
     /// Tentpole differential: the Dial bucket queue must leave every
     /// route *byte-identical* to the heap kernel's, not just equal in
     /// cost — the two open sets pop in the same order by construction
     /// and this pins it end to end on randomized instances.
     #[test]
     fn dial_and_heap_kernels_route_identically() {
+        let spec = BenchSpec {
+            name: "dial-diff",
+            nets: 18,
+            width: 32,
+            height: 32,
+        };
         for seed in 0..8u64 {
-            let spec = BenchSpec {
-                name: "dial-diff",
-                nets: 18,
-                width: 32,
-                height: 32,
-            };
-            let nl = spec.generate(seed);
             let kind = if seed % 2 == 0 {
                 SadpKind::Sim
             } else {
                 SadpKind::Sid
             };
-            let mut outcomes = Vec::new();
-            for queue in [QueueKind::Dial, QueueKind::Heap] {
-                let mut st =
-                    RouterState::new(spec.grid(), &nl, kind, CostParams::default(), true, true);
+            let bump = |st: &mut RouterState| {
                 for k in 0..24 {
                     st.bump_history(GridPoint::new(1 + (k % 2) as u8, k, (k * 5) % 32));
                 }
-                let mut scratch = SearchScratch::with_queue(queue);
-                assert_eq!(scratch.queue_kind(), queue);
-                let mut routes = Vec::new();
-                let ids: Vec<NetId> = nl.iter().map(|(id, _)| id).collect();
-                for id in ids {
-                    if let Some(r) = route_net(&st, id, &nl[id], &mut scratch) {
-                        st.install_route(id, r.clone());
-                        routes.push((id, r));
-                    }
-                }
-                outcomes.push((routes, scratch.expanded));
-            }
-            let (dial, heap) = (&outcomes[0], &outcomes[1]);
-            assert_eq!(dial.0, heap.0, "route divergence at seed {seed}");
-            assert_eq!(dial.1, heap.1, "expansion-count divergence at seed {seed}");
+            };
+            let what = format!("seed {seed}");
+            assert_queues_route_identically(&spec, &spec.generate(seed), kind, bump, &what);
         }
+    }
+
+    /// The same differential at a scale large enough to exercise
+    /// window escalation and installed-route penalties (ecc at 0.1).
+    #[test]
+    fn dial_and_heap_queues_route_identically_at_scale() {
+        let spec = BenchSpec::by_name("ecc").unwrap().scaled(0.1);
+        let nl = spec.generate(1);
+        assert_queues_route_identically(&spec, &nl, SadpKind::Sim, |_| {}, "ecc-0.1");
     }
 
     #[test]

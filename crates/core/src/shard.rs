@@ -14,7 +14,7 @@
 //!    congested point), inflated by the worst-case window escalation
 //!    of the first margin rung plus the cost-update write radius.
 //!    Disjointness is tracked on a coarse region bitmap (cell size
-//!    [`SHARD_REGION_ENV`], default 16): coarser granularity only
+//!    [`SHARD_REGION`]): coarser granularity only
 //!    makes admission more conservative, never unsound. Victim
 //!    selection uses a *virtual* rotation (start rotation + rips
 //!    planned so far), so the planned victims equal the serial ones.
@@ -44,9 +44,12 @@
 //!
 //! Because every committed step reproduces the serial mutation
 //! sequence exactly, the routing outcome (and every phase counter) is
-//! byte-identical for any `SADP_EXEC_THREADS` and any region size —
-//! the property pinned by `tests/shard_determinism.rs` and the
-//! committed `BENCH_matrix.json` fingerprints.
+//! byte-identical for any pool width and any region size — the
+//! property pinned by this module's tests, `tests/shard_determinism.rs`
+//! and the committed `BENCH_matrix.json` fingerprints.
+//!
+//! The scheduler runs exactly when the pool is wider than one thread
+//! (see [`should_shard`]); width 1 is the serial reference.
 
 use sadp_grid::{GridPoint, Net, NetId, Netlist, RoutedNet};
 use sadp_trace::{Counter, Phase, RouteObserver};
@@ -60,68 +63,25 @@ use crate::rnr::{
 use crate::search::SearchScratch;
 use crate::state::{RouterState, SuspendedRoute};
 
-/// Environment variable disabling intra-instance sharding when set to
-/// `0` (any other value, or unset, leaves it enabled).
-pub const SHARD_ENV: &str = "SADP_SHARD";
+/// Region cell size of the claim bitmap that sessions use. Smaller
+/// regions admit more concurrent work per wave but cost more admission
+/// checks; no size changes routing output (the unit tests sweep it).
+pub(crate) const SHARD_REGION: i32 = 16;
 
-/// Environment variable setting the region cell size of the shard
-/// bitmap (≥ 1; default 16). Smaller regions admit more concurrent
-/// work per wave but cost more admission checks.
-pub const SHARD_REGION_ENV: &str = "SADP_SHARD_REGION";
-
-/// Tuning knobs of the sharded R&R scheduler.
-///
-/// The defaults come from the environment (see [`SHARD_ENV`] /
-/// [`SHARD_REGION_ENV`]); `RoutingSession::set_shard_params` overrides
-/// them per session. None of the knobs affect routing output — only
-/// how much of the serial schedule is overlapped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardParams {
-    /// Master switch; `false` forces the pure serial path.
-    pub enabled: bool,
-    /// Region cell size of the claim bitmap (≥ 1).
-    pub region: i32,
-    /// Maximum entries admitted per wave. Fixed (never derived from
-    /// the thread count) so the planned waves are identical on every
-    /// host.
-    pub max_wave: usize,
-}
-
-impl Default for ShardParams {
-    fn default() -> ShardParams {
-        ShardParams::from_env()
-    }
-}
-
-impl ShardParams {
-    /// Reads the knobs from the environment (unset → enabled, region
-    /// 16, wave cap 64).
-    pub fn from_env() -> ShardParams {
-        let enabled = std::env::var(SHARD_ENV).map_or(true, |v| v.trim() != "0");
-        let region = std::env::var(SHARD_REGION_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<i32>().ok())
-            .filter(|&r| r >= 1)
-            .unwrap_or(16);
-        ShardParams {
-            enabled,
-            region,
-            max_wave: 64,
-        }
-    }
-}
+/// Maximum entries admitted per wave. Fixed (never derived from the
+/// pool width) so the planned waves are identical on every host.
+const MAX_WAVE: usize = 64;
 
 /// `true` when the sharded scheduler applies to a phase activation.
 ///
-/// Sharding requires: enabled knobs, more than one pool thread, not
-/// already inside a pool worker (nested fan-out runs inline and would
+/// Sharding requires: more than one pool thread, not already inside
+/// a pool worker (nested fan-out runs inline and would
 /// gain nothing), no expansion cap (a capped search can stop mid-net,
 /// which is inherently schedule-dependent), and no blocked-via
 /// enforcement (the TPL phase's `refresh_blocked_around` reads a ±4
 /// window, wider than the footprint write margin).
-pub(crate) fn should_shard(params: ShardParams, limits: &PhaseLimits, state: &RouterState) -> bool {
-    params.enabled
-        && limits.expansion_stop.is_none()
+pub(crate) fn should_shard(limits: &PhaseLimits, state: &RouterState) -> bool {
+    limits.expansion_stop.is_none()
         && !state.enforce_blocked
         && !sadp_exec::in_worker()
         && sadp_exec::thread_count() > 1
@@ -319,13 +279,13 @@ pub(crate) fn negotiate_congestion_sharded(
     work: &mut CongestionWork,
     scratch: &mut SearchScratch,
     pool: &mut Vec<SearchScratch>,
-    params: ShardParams,
+    region: i32,
     obs: &mut impl RouteObserver,
 ) -> (Result<bool, sadp_exec::TaskPanicked>, RnrStats) {
     const PHASE: Phase = Phase::CongestionNegotiation;
     let mut stats = RnrStats::default();
     seed_congestion_queue(work, state);
-    let mut claims = RegionClaims::new(state.grid.width(), state.grid.height(), params.region);
+    let mut claims = RegionClaims::new(state.grid.width(), state.grid.height(), region);
 
     'outer: loop {
         // The serial loop's pre-pop budget check.
@@ -342,7 +302,7 @@ pub(crate) fn negotiate_congestion_sharded(
         claims.clear();
         let mut entries: Vec<WaveEntry> = Vec::new();
         let mut rips = 0usize;
-        while entries.len() < params.max_wave {
+        while entries.len() < MAX_WAVE {
             let Some(&p) = work.queue.front() else {
                 break;
             };
@@ -430,11 +390,10 @@ pub(crate) fn negotiate_congestion_sharded(
         obs.counter(PHASE, Counter::Waves, 1);
         let state_ref: &RouterState = state;
         let entries_ref: &[WaveEntry] = &entries;
-        let queue = scratch.queue_kind();
         let specs = sadp_exec::try_map_with(
             entries.len(),
             pool,
-            move || SearchScratch::with_queue(queue),
+            SearchScratch::new,
             |s: &mut SearchScratch, i: usize| match entries_ref[i].planned {
                 Planned::Rip {
                     victim,
@@ -549,12 +508,12 @@ pub(crate) fn initial_routing_sharded(
     failed: &mut Vec<NetId>,
     scratch: &mut SearchScratch,
     pool: &mut Vec<SearchScratch>,
-    params: ShardParams,
+    region: i32,
     obs: &mut impl RouteObserver,
 ) -> Result<Termination, sadp_exec::TaskPanicked> {
     const PHASE: Phase = Phase::InitialRouting;
     seed_initial_order(work, netlist);
-    let mut claims = RegionClaims::new(state.grid.width(), state.grid.height(), params.region);
+    let mut claims = RegionClaims::new(state.grid.width(), state.grid.height(), region);
     let mut done_here = 0usize;
 
     while work.pos < work.order.len() {
@@ -567,7 +526,7 @@ pub(crate) fn initial_routing_sharded(
         claims.clear();
         let remaining = work.order.len() - work.pos;
         let mut wave = 0usize;
-        while wave < params.max_wave.min(remaining) {
+        while wave < MAX_WAVE.min(remaining) {
             let net = &netlist[work.order[work.pos + wave]];
             let mut rect = match net.pins().first() {
                 Some(p0) => Rect::point(p0.x, p0.y),
@@ -593,11 +552,10 @@ pub(crate) fn initial_routing_sharded(
         obs.counter(PHASE, Counter::Waves, 1);
         let ids: Vec<NetId> = work.order[work.pos..work.pos + wave].to_vec();
         let state_ref: &RouterState = state;
-        let queue = scratch.queue_kind();
         let specs = sadp_exec::try_map_with(
             ids.len(),
             pool,
-            move || SearchScratch::with_queue(queue),
+            SearchScratch::new,
             |s: &mut SearchScratch, i: usize| {
                 let id = ids[i];
                 let (e0, s0) = (s.expanded, s.searches);
@@ -774,11 +732,7 @@ mod tests {
                     &mut failed2,
                     &mut SearchScratch::new(),
                     &mut pool,
-                    ShardParams {
-                        enabled: true,
-                        region: 8,
-                        max_wave: 64,
-                    },
+                    8,
                     &mut NoopObserver,
                 )
             })
@@ -854,11 +808,7 @@ mod tests {
                         &mut work,
                         &mut sc,
                         &mut pool,
-                        ShardParams {
-                            enabled: true,
-                            region,
-                            max_wave: 64,
-                        },
+                        region,
                         &mut NoopObserver,
                     )
                 });
@@ -878,6 +828,67 @@ mod tests {
                         st.solution.route(id),
                         "threads={threads} region={region} {id:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The determinism contract end to end: on a generated
+    /// paper-suite instance, every pool width × region size routes to
+    /// the serial (width 1) outcome, route for route, in both the
+    /// baseline and the full arm.
+    #[test]
+    fn sharded_outcomes_are_identical_across_threads_and_regions() {
+        use crate::flow::{RouterConfig, RoutingOutcome, RoutingSession};
+        use benchgen::BenchSpec;
+
+        let spec = BenchSpec::paper_suite()[0].scaled(0.02);
+        let (grid, netlist) = (spec.grid(), spec.generate(1));
+        let run = |config: RouterConfig, threads: usize, region: i32| -> RoutingOutcome {
+            sadp_exec::with_threads(threads, || {
+                let mut session = RoutingSession::new(&grid, &netlist, config);
+                session.shard_region = region;
+                session.finish(&mut NoopObserver)
+            })
+        };
+        for config in [
+            RouterConfig::baseline(SadpKind::Sim),
+            RouterConfig::full(SadpKind::Sim),
+        ] {
+            let serial = run(config, 1, SHARD_REGION);
+            assert!(serial.routed_all, "fixture must route fully");
+            for threads in [2, 4, 8] {
+                for region in [4, 16, 64] {
+                    let what = format!("threads={threads} region={region}");
+                    let sharded = run(config, threads, region);
+                    assert_eq!(serial.stats, sharded.stats, "{what}: stats diverged");
+                    assert_eq!(
+                        (
+                            serial.routed_all,
+                            serial.congestion_free,
+                            serial.fvp_free,
+                            serial.colorable
+                        ),
+                        (
+                            sharded.routed_all,
+                            sharded.congestion_free,
+                            sharded.fvp_free,
+                            sharded.colorable
+                        ),
+                        "{what}: flags diverged"
+                    );
+                    assert_eq!(
+                        serial.solution.routed_count(),
+                        sharded.solution.routed_count(),
+                        "{what}: route count diverged"
+                    );
+                    for (id, route) in serial.solution.iter() {
+                        assert_eq!(
+                            Some(route),
+                            sharded.solution.route(id),
+                            "{what}: route of {id:?} diverged"
+                        );
+                    }
                 }
             }
         }

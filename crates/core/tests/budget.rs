@@ -38,7 +38,7 @@ fn iteration_capped_session_resumes_to_the_unbudgeted_fingerprint() {
     let (grid, netlist) = (spec.grid(), spec.generate(7));
     let config = RouterConfig::full(SadpKind::Sim);
 
-    let unbudgeted = RoutingSession::new(&grid, &netlist, config).run_with(&mut NoopObserver);
+    let unbudgeted = RoutingSession::new(&grid, &netlist, config).finish(&mut NoopObserver);
 
     // Interleave no-progress deadline stops (the budget expired before
     // the activation could run an iteration) with tiny iteration-cap

@@ -75,7 +75,7 @@ fn run_through_checkpoints(
 #[test]
 fn checkpoint_restored_run_matches_uninterrupted_fingerprint() {
     let (grid, netlist, config) = instance();
-    let uninterrupted = RoutingSession::new(&grid, &netlist, config).run_with(&mut NoopObserver);
+    let uninterrupted = RoutingSession::new(&grid, &netlist, config).finish(&mut NoopObserver);
     let (restored, restores) = run_through_checkpoints(&grid, &netlist, config, 3);
     assert!(
         restores > 1,
@@ -112,8 +112,35 @@ fn deadline_stopped_session_checkpoints_and_resumes() {
     restored.set_budget(RouteBudget::unlimited());
     let out = restored.finish(&mut NoopObserver);
     assert_eq!(out.termination, Termination::Converged);
-    let clean = RoutingSession::new(&grid, &netlist, config).run_with(&mut NoopObserver);
+    let clean = RoutingSession::new(&grid, &netlist, config).finish(&mut NoopObserver);
     assert_eq!(fingerprint(&out), fingerprint(&clean));
+}
+
+/// A checkpoint binds to the routing configuration alone, never to
+/// how the flow executed: one taken mid-run at pool width 2 (sharded
+/// R&R) restores and finishes at width 1, and the reverse, both to
+/// the uninterrupted fingerprint.
+#[test]
+fn checkpoint_restores_across_pool_widths() {
+    let (grid, netlist, config) = instance();
+    let uninterrupted = RoutingSession::new(&grid, &netlist, config).finish(&mut NoopObserver);
+    for (taken_at, restored_at) in [(2, 1), (1, 2)] {
+        let what = format!("taken at width {taken_at}, restored at width {restored_at}");
+        let text = sadp_exec::with_threads(taken_at, || {
+            let mut session = RoutingSession::new(&grid, &netlist, config);
+            session.set_budget(RouteBudget::unlimited().with_max_phase_iters(5));
+            step(&mut session, &mut NoopObserver);
+            assert!(!session.converged(), "slice too large for this instance");
+            session.checkpoint()
+        });
+        let out = sadp_exec::with_threads(restored_at, || {
+            RoutingSession::restore(&grid, &netlist, config, &text)
+                .unwrap_or_else(|e| panic!("{what}: {e}"))
+                .finish(&mut NoopObserver)
+        });
+        assert_eq!(out.termination, Termination::Converged, "{what}");
+        assert_eq!(fingerprint(&out), fingerprint(&uninterrupted), "{what}");
+    }
 }
 
 fn mid_run_checkpoint() -> (RoutingGrid, Netlist, RouterConfig, String) {

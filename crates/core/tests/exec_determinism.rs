@@ -13,7 +13,7 @@
 use benchgen::BenchSpec;
 use proptest::prelude::*;
 use sadp_grid::{NetId, RoutedNet, SadpKind};
-use sadp_router::{Router, RouterConfig, RoutingOutcome};
+use sadp_router::{RouterConfig, RoutingOutcome, RoutingSession};
 
 /// Everything deterministic about an outcome (runtimes excluded).
 fn fingerprint(out: &RoutingOutcome) -> (Vec<(NetId, RoutedNet)>, [bool; 4], u64, u64) {
@@ -33,8 +33,8 @@ fn fingerprint(out: &RoutingOutcome) -> (Vec<(NetId, RoutedNet)>, [bool; 4], u64
 }
 
 fn route(spec: &BenchSpec, seed: u64, kind: SadpKind) -> RoutingOutcome {
-    Router::new(spec.grid(), spec.generate(seed), RouterConfig::full(kind))
-        .try_run(&mut sadp_trace::NoopObserver)
+    RoutingSession::try_new(&spec.grid(), &spec.generate(seed), RouterConfig::full(kind))
+        .and_then(|s| s.try_finish(&mut sadp_trace::NoopObserver))
         .expect("full flow")
 }
 

@@ -642,12 +642,12 @@ mod tests {
                 .expect("a paper-suite circuit")
                 .scaled(0.25);
             for kind in [SadpKind::Sim, SadpKind::Sid] {
-                let out = sadp_router::Router::new(
-                    spec.grid(),
-                    spec.generate(1),
+                let out = sadp_router::RoutingSession::try_new(
+                    &spec.grid(),
+                    &spec.generate(1),
                     sadp_router::RouterConfig::full(kind),
                 )
-                .try_run(&mut sadp_trace::NoopObserver)
+                .and_then(|s| s.try_finish(&mut sadp_trace::NoopObserver))
                 .expect("benchgen circuits route");
                 let p = DviProblem::build(kind, &out.solution);
                 assert!(p.via_count() > 0 && !p.candidates().is_empty());

@@ -118,36 +118,20 @@ pub fn thread_count() -> usize {
 }
 
 /// Runs `f` with the pool width pinned to `threads` on this thread
-/// (overriding `SADP_EXEC_THREADS`), restoring the previous override
-/// afterwards. Used by the serial-vs-parallel benches and the
-/// determinism tests.
+/// (overriding `SADP_EXEC_THREADS`; 0 is clamped to 1, serial),
+/// restoring the previous override afterwards — also when `f` unwinds.
+/// Used by the serial-vs-parallel benches and the determinism tests.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    let _guard = push_threads(threads);
+    /// Puts the previous override back when dropped.
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let prev = self.0;
+            OVERRIDE.with(|c| c.set(prev));
+        }
+    }
+    let _restore = Restore(OVERRIDE.with(|c| c.replace(Some(threads.max(1)))));
     f()
-}
-
-/// RAII form of [`with_threads`]: pins the pool width for this thread
-/// until the guard drops (restoring the previous override). Lets a
-/// `&mut self` method install a width for its own body where a
-/// closure-based scope would fight the borrow checker.
-#[must_use = "the override is lifted when the guard drops"]
-pub struct ThreadsGuard {
-    prev: Option<usize>,
-}
-
-impl Drop for ThreadsGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        OVERRIDE.with(|c| c.set(prev));
-    }
-}
-
-/// Installs a scoped pool-width override on this thread (see
-/// [`ThreadsGuard`]). A width of 0 is clamped to 1 (serial).
-pub fn push_threads(threads: usize) -> ThreadsGuard {
-    ThreadsGuard {
-        prev: OVERRIDE.with(|c| c.replace(Some(threads.max(1)))),
-    }
 }
 
 /// `true` when called from inside a pool task — on a pool worker, or
@@ -617,17 +601,16 @@ mod tests {
     }
 
     #[test]
-    fn push_threads_guard_nests_and_restores() {
+    fn with_threads_nests_and_restores_on_unwind() {
         let outer = thread_count();
-        {
-            let _g1 = push_threads(5);
+        with_threads(5, || {
             assert_eq!(thread_count(), 5);
-            {
-                let _g2 = push_threads(2);
-                assert_eq!(thread_count(), 2);
-            }
-            assert_eq!(thread_count(), 5, "inner guard restores outer override");
-        }
+            with_threads(2, || assert_eq!(thread_count(), 2));
+            assert_eq!(thread_count(), 5, "inner scope restores outer override");
+            let unwound = catch_unwind(|| with_threads(3, || panic!("scope panics")));
+            assert!(unwound.is_err());
+            assert_eq!(thread_count(), 5, "an unwinding scope restores too");
+        });
         assert_eq!(thread_count(), outer);
     }
 

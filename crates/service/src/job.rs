@@ -275,10 +275,10 @@ impl RouteRequest {
         }
     }
 
-    /// The router configuration this request resolves to. Execution
-    /// knobs (threads/shard/queue) take the process defaults — they
-    /// are output-invariant, so the request still fully determines the
-    /// routing result.
+    /// The router configuration this request resolves to, run with
+    /// [`sadp_router::RoutingSession`]. The configuration holds only
+    /// routing knobs, so the request fully determines the routing
+    /// result whatever the pool width.
     pub fn router_config(&self) -> Result<RouterConfig, ConfigError> {
         let (dvi, tpl) = match self.arm {
             Arm::Baseline => (false, false),

@@ -16,7 +16,6 @@ fn mixed_load_survives_injected_worker_panics() {
     // Sharded waves need a multi-thread pool; pin it so the failpoint
     // is reachable regardless of the host's core count.
     std::env::set_var("SADP_EXEC_THREADS", "2");
-    std::env::set_var("SADP_SHARD", "1");
     let _faults = faultinject::arm(
         42,
         faultinject::FaultSpec::new().point("exec.task_panic", 0.02),
@@ -94,5 +93,4 @@ fn mixed_load_survives_injected_worker_panics() {
     assert_eq!(service.shutdown(), JOBS);
 
     std::env::remove_var("SADP_EXEC_THREADS");
-    std::env::remove_var("SADP_SHARD");
 }

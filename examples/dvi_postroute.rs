@@ -25,7 +25,7 @@ fn main() {
     let netlist = spec.generate(1);
     let grid = spec.grid();
     let outcome = RoutingSession::new(&grid, &netlist, RouterConfig::full(SadpKind::Sim))
-        .run_with(&mut NoopObserver);
+        .finish(&mut NoopObserver);
     assert!(outcome.routed_all && outcome.fvp_free);
 
     let problem = DviProblem::build(SadpKind::Sim, &outcome.solution);

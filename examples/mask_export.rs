@@ -27,8 +27,8 @@ fn main() {
     netlist.push(Net::new("b", vec![Pin::new(4, 10), Pin::new(22, 14)]));
     netlist.push(Net::new("c", vec![Pin::new(8, 22), Pin::new(20, 8)]));
     netlist.push(Net::new("d", vec![Pin::new(6, 16), Pin::new(18, 22)]));
-    let outcome = Router::new(grid, netlist, RouterConfig::full(SadpKind::Sim))
-        .try_run(&mut NoopObserver)
+    let outcome = RoutingSession::try_new(&grid, &netlist, RouterConfig::full(SadpKind::Sim))
+        .and_then(|s| s.try_finish(&mut NoopObserver))
         .expect("full flow");
     assert!(outcome.routed_all && outcome.fvp_free);
 

@@ -30,7 +30,7 @@ fn main() {
         .tpl(true)
         .build()
         .expect("valid config");
-    let outcome = RoutingSession::new(&grid, &netlist, config).run_with(&mut NoopObserver);
+    let outcome = RoutingSession::new(&grid, &netlist, config).finish(&mut NoopObserver);
 
     println!("routed all nets : {}", outcome.routed_all);
     println!("wirelength      : {}", outcome.stats.wirelength);

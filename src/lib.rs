@@ -30,7 +30,9 @@
 //!     .tpl(true)
 //!     .build()
 //!     .expect("valid config");
-//! let outcome = RoutingSession::new(&grid, &netlist, config).run_with(&mut NoopObserver);
+//! let outcome = RoutingSession::try_new(&grid, &netlist, config)
+//!     .and_then(|session| session.try_finish(&mut NoopObserver))
+//!     .expect("valid inputs");
 //! assert!(outcome.routed_all);
 //! ```
 
@@ -65,8 +67,7 @@ pub mod prelude {
     };
     pub use sadp_router::{
         full_audit, full_audit_observed, mask_audit, ConfigError, CostParams, FullAudit,
-        RouteBudget, RouteError, Router, RouterConfig, RoutingOutcome, RoutingSession, ShardParams,
-        Termination,
+        RouteBudget, RouteError, RouterConfig, RoutingOutcome, RoutingSession, Termination,
     };
     pub use sadp_service::{
         outcome_fingerprint, Arm, JobBudget, JobEvent, JobId, JobOutcome, JobSource, Priority,

@@ -15,7 +15,7 @@ fn full_arm_is_clean_for_both_processes() {
         let grid = spec().grid();
         // The staged session borrows grid and netlist — no clones.
         let out = RoutingSession::new(&grid, &netlist, RouterConfig::full(kind))
-            .run_with(&mut NoopObserver);
+            .finish(&mut NoopObserver);
         assert!(out.routed_all, "{kind}: routability");
         assert!(out.congestion_free, "{kind}: congestion");
         assert!(out.fvp_free, "{kind}: FVPs");
@@ -33,7 +33,7 @@ fn sim_trim_variant_works_end_to_end() {
     let netlist = spec().generate(11);
     let grid = spec().grid();
     let out =
-        RoutingSession::new(&grid, &netlist, RouterConfig::full(kind)).run_with(&mut NoopObserver);
+        RoutingSession::new(&grid, &netlist, RouterConfig::full(kind)).finish(&mut NoopObserver);
     assert!(out.routed_all && out.congestion_free && out.fvp_free && out.colorable);
     let audit = full_audit(kind, &out.solution, &netlist);
     assert!(audit.is_clean(), "{audit:?}");
@@ -54,7 +54,7 @@ fn all_arms_route_everything() {
     let netlist = spec().generate(3);
     let grid = spec().grid();
     for config in configs {
-        let out = RoutingSession::new(&grid, &netlist, config).run_with(&mut NoopObserver);
+        let out = RoutingSession::new(&grid, &netlist, config).finish(&mut NoopObserver);
         assert!(out.routed_all && out.congestion_free);
         // Always SADP-legal and short-free, whatever the arm.
         let audit = full_audit(kind, &out.solution, &netlist);
@@ -67,8 +67,8 @@ fn all_arms_route_everything() {
 #[test]
 fn dvi_solvers_respect_all_constraints() {
     let netlist = spec().generate(7);
-    let out = Router::new(spec().grid(), netlist, RouterConfig::full(SadpKind::Sim))
-        .try_run(&mut NoopObserver)
+    let out = RoutingSession::try_new(&spec().grid(), &netlist, RouterConfig::full(SadpKind::Sim))
+        .and_then(|s| s.try_finish(&mut NoopObserver))
         .expect("full flow");
     let problem = DviProblem::build(SadpKind::Sim, &out.solution);
     let heur = solve_heuristic(&problem, &DviParams::default());
@@ -139,9 +139,9 @@ fn paper_shape_dead_vias_fall_with_consideration() {
     for seed in [1, 2, 3] {
         let netlist = spec().generate(seed);
         let base = RoutingSession::new(&grid, &netlist, RouterConfig::baseline(kind))
-            .run_with(&mut NoopObserver);
+            .finish(&mut NoopObserver);
         let full = RoutingSession::new(&grid, &netlist, RouterConfig::full(kind))
-            .run_with(&mut NoopObserver);
+            .finish(&mut NoopObserver);
         let pb = DviProblem::build(kind, &base.solution);
         let pf = DviProblem::build(kind, &full.solution);
         dead_base += solve_heuristic(&pb, &DviParams::default()).dead_via_count;
@@ -167,7 +167,7 @@ fn bus_style_netlists_route_clean() {
     let netlist = s.generate_bus_style(3, 0.6);
     let grid = s.grid();
     let out = RoutingSession::new(&grid, &netlist, RouterConfig::full(SadpKind::Sim))
-        .run_with(&mut NoopObserver);
+        .finish(&mut NoopObserver);
     assert!(out.routed_all && out.congestion_free && out.fvp_free && out.colorable);
     let audit = full_audit(SadpKind::Sim, &out.solution, &netlist);
     assert!(audit.is_clean(), "{audit:?}");
@@ -182,8 +182,8 @@ fn bus_style_netlists_route_clean() {
 fn router_output_is_mask_drc_clean() {
     for kind in [SadpKind::Sim, SadpKind::Sid] {
         let netlist = spec().generate(13);
-        let out = Router::new(spec().grid(), netlist, RouterConfig::full(kind))
-            .try_run(&mut NoopObserver)
+        let out = RoutingSession::try_new(&spec().grid(), &netlist, RouterConfig::full(kind))
+            .and_then(|s| s.try_finish(&mut NoopObserver))
             .expect("full flow");
         let violations = mask_audit(kind, &out.solution)
             .unwrap_or_else(|(l, e)| panic!("{kind}: layer {l} undecomposable: {e}"));
@@ -196,12 +196,20 @@ fn runs_are_deterministic() {
     let netlist_a = spec().generate(5);
     let netlist_b = spec().generate(5);
     assert_eq!(netlist_a, netlist_b);
-    let a = Router::new(spec().grid(), netlist_a, RouterConfig::full(SadpKind::Sim))
-        .try_run(&mut NoopObserver)
-        .expect("full flow");
-    let b = Router::new(spec().grid(), netlist_b, RouterConfig::full(SadpKind::Sim))
-        .try_run(&mut NoopObserver)
-        .expect("full flow");
+    let a = RoutingSession::try_new(
+        &spec().grid(),
+        &netlist_a,
+        RouterConfig::full(SadpKind::Sim),
+    )
+    .and_then(|s| s.try_finish(&mut NoopObserver))
+    .expect("full flow");
+    let b = RoutingSession::try_new(
+        &spec().grid(),
+        &netlist_b,
+        RouterConfig::full(SadpKind::Sim),
+    )
+    .and_then(|s| s.try_finish(&mut NoopObserver))
+    .expect("full flow");
     assert_eq!(a.stats, b.stats);
     let pa = DviProblem::build(SadpKind::Sim, &a.solution);
     let pb = DviProblem::build(SadpKind::Sim, &b.solution);

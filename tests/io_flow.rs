@@ -9,13 +9,9 @@ use sadp_dvi::prelude::*;
 fn route_save_reload_audit() {
     let spec = BenchSpec::paper_suite()[0].scaled(0.02);
     let netlist = spec.generate(21);
-    let out = Router::new(
-        spec.grid(),
-        netlist.clone(),
-        RouterConfig::full(SadpKind::Sim),
-    )
-    .try_run(&mut NoopObserver)
-    .expect("full flow");
+    let out = RoutingSession::try_new(&spec.grid(), &netlist, RouterConfig::full(SadpKind::Sim))
+        .and_then(|s| s.try_finish(&mut NoopObserver))
+        .expect("full flow");
     assert!(out.routed_all);
 
     // Save both artifacts.

@@ -42,8 +42,8 @@ fn four_layer_grid_has_three_via_layers() {
 fn routes_and_audits_on_four_layers() {
     for kind in SadpKind::ALL {
         let nl = netlist();
-        let out = Router::new(four_layer(24, 24), nl.clone(), RouterConfig::full(kind))
-            .try_run(&mut NoopObserver)
+        let out = RoutingSession::try_new(&four_layer(24, 24), &nl, RouterConfig::full(kind))
+            .and_then(|s| s.try_finish(&mut NoopObserver))
             .expect("full flow");
         assert!(out.routed_all, "{kind}");
         assert!(out.congestion_free, "{kind}");
@@ -56,8 +56,8 @@ fn routes_and_audits_on_four_layers() {
 #[test]
 fn dvi_handles_stacked_vias() {
     let nl = netlist();
-    let out = Router::new(four_layer(24, 24), nl, RouterConfig::full(SadpKind::Sim))
-        .try_run(&mut NoopObserver)
+    let out = RoutingSession::try_new(&four_layer(24, 24), &nl, RouterConfig::full(SadpKind::Sim))
+        .and_then(|s| s.try_finish(&mut NoopObserver))
         .expect("full flow");
     let problem = DviProblem::build(SadpKind::Sim, &out.solution);
     // Vias may exist on via layers 0, 1 and 2.
@@ -88,13 +88,9 @@ fn m3_wires_can_stack_between_m2_and_m4() {
             vec![Pin::new(3, 4 + 2 * k), Pin::new(21, 4 + 2 * k)],
         ));
     }
-    let out = Router::new(
-        four_layer(25, 25),
-        nl.clone(),
-        RouterConfig::full(SadpKind::Sim),
-    )
-    .try_run(&mut NoopObserver)
-    .expect("full flow");
+    let out = RoutingSession::try_new(&four_layer(25, 25), &nl, RouterConfig::full(SadpKind::Sim))
+        .and_then(|s| s.try_finish(&mut NoopObserver))
+        .expect("full flow");
     assert!(out.routed_all && out.congestion_free);
     let audit = full_audit(SadpKind::Sim, &out.solution, &nl);
     assert!(audit.is_clean(), "{audit:?}");

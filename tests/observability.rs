@@ -34,7 +34,7 @@ fn small_case() -> (RoutingGrid, Netlist) {
 fn full_arm_emits_the_golden_phase_sequence() {
     let (grid, nl) = small_case();
     let mut log = EventLog::new();
-    let out = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).run_with(&mut log);
+    let out = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).finish(&mut log);
     assert!(out.routed_all && out.congestion_free && out.colorable);
     assert!(log.balanced(), "every phase_start has a matching phase_end");
     assert_eq!(
@@ -54,7 +54,7 @@ fn baseline_arm_emits_no_tpl_phase() {
     let (grid, nl) = small_case();
     let mut log = EventLog::new();
     let out =
-        RoutingSession::new(&grid, &nl, RouterConfig::baseline(SadpKind::Sim)).run_with(&mut log);
+        RoutingSession::new(&grid, &nl, RouterConfig::baseline(SadpKind::Sim)).finish(&mut log);
     assert!(out.routed_all);
     assert!(log.balanced());
     // Baseline still *reports* colorability (ColoringFix span) but never
@@ -74,7 +74,7 @@ fn baseline_arm_emits_no_tpl_phase() {
 fn golden_counter_totals_match_outcome_stats() {
     let (grid, nl) = small_case();
     let mut log = EventLog::new();
-    let out = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).run_with(&mut log);
+    let out = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).finish(&mut log);
 
     // Counter totals and RnrStats are two views of the same run.
     for (phase, stats) in [
@@ -109,7 +109,7 @@ fn golden_sequence_is_reproducible() {
     let (grid, nl) = small_case();
     let run = || {
         let mut log = EventLog::new();
-        RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sid)).run_with(&mut log);
+        RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sid)).finish(&mut log);
         log.events().to_vec()
     };
     assert_eq!(run(), run());
@@ -124,7 +124,7 @@ fn report_spans_cover_all_phases_once() {
     let (grid, nl) = small_case();
     let mut report = JsonReport::new("golden/full");
     let out =
-        RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).run_with(&mut report);
+        RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).finish(&mut report);
     out.record_into(&mut report);
     for phase in [
         Phase::InitialRouting,
@@ -152,8 +152,8 @@ fn span_durations_sum_within_total_runtime() {
     let netlist = spec().generate(9);
     let grid = spec().grid();
     let mut report = JsonReport::new("timing");
-    let out = RoutingSession::new(&grid, &netlist, RouterConfig::full(SadpKind::Sim))
-        .run_with(&mut report);
+    let out =
+        RoutingSession::new(&grid, &netlist, RouterConfig::full(SadpKind::Sim)).finish(&mut report);
     assert!(
         report.span_total() <= out.runtime,
         "span sum {:?} exceeds runtime {:?}",
@@ -167,9 +167,9 @@ fn report_and_log_agree_on_counter_totals() {
     let (grid, nl) = small_case();
     let config = RouterConfig::full(SadpKind::Sim);
     let mut log = EventLog::new();
-    RoutingSession::new(&grid, &nl, config).run_with(&mut log);
+    RoutingSession::new(&grid, &nl, config).finish(&mut log);
     let mut report = JsonReport::new("agree");
-    RoutingSession::new(&grid, &nl, config).run_with(&mut report);
+    RoutingSession::new(&grid, &nl, config).finish(&mut report);
     for phase in Phase::ALL {
         for counter in [
             Counter::Iterations,
@@ -194,7 +194,7 @@ fn dvi_spans_attach_to_the_same_report() {
     let (grid, nl) = small_case();
     let mut report = JsonReport::new("with-dvi");
     let out =
-        RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).run_with(&mut report);
+        RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).finish(&mut report);
     let problem = DviProblem::build(SadpKind::Sim, &out.solution);
     let dvi = solve_heuristic_observed(&problem, &DviParams::default(), &mut report);
     assert_eq!(report.spans_of(Phase::Dvi).count(), 1);
@@ -253,11 +253,11 @@ proptest! {
         let grid = RoutingGrid::three_layer(26, 26);
         let config = RouterConfig::full(kind);
         let quiet =
-            RoutingSession::new(&grid, &nl, config).run_with(&mut NoopObserver);
+            RoutingSession::new(&grid, &nl, config).finish(&mut NoopObserver);
         let mut report = JsonReport::new("prop");
-        let reported = RoutingSession::new(&grid, &nl, config).run_with(&mut report);
+        let reported = RoutingSession::new(&grid, &nl, config).finish(&mut report);
         let mut log = EventLog::new();
-        let logged = RoutingSession::new(&grid, &nl, config).run_with(&mut log);
+        let logged = RoutingSession::new(&grid, &nl, config).finish(&mut log);
         prop_assert_eq!(quiet.stats, reported.stats);
         let baseline_text = write_solution(&quiet.solution);
         prop_assert_eq!(&baseline_text, &write_solution(&reported.solution));
@@ -275,7 +275,7 @@ proptest! {
             RouterConfig::baseline(SadpKind::Sim)
         };
         let mut report = JsonReport::new("prop-timing");
-        let out = RoutingSession::new(&grid, &nl, config).run_with(&mut report);
+        let out = RoutingSession::new(&grid, &nl, config).finish(&mut report);
         prop_assert!(report.span_total() <= out.runtime);
     }
 }

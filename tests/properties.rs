@@ -47,8 +47,8 @@ proptest! {
     fn random_netlists_route_clean(nl in arb_netlist(28), sim in any::<bool>()) {
         let kind = if sim { SadpKind::Sim } else { SadpKind::Sid };
         let grid = RoutingGrid::three_layer(28, 28);
-        let out = Router::new(grid, nl.clone(), RouterConfig::full(kind))
-            .try_run(&mut NoopObserver)
+        let out = RoutingSession::try_new(&grid, &nl, RouterConfig::full(kind))
+.and_then(|s| s.try_finish(&mut NoopObserver))
             .expect("full flow");
         prop_assert!(out.routed_all);
         let audit = full_audit(kind, &out.solution, &nl);

@@ -2,11 +2,12 @@
 //!
 //! The sharded scheduler speculates searches in parallel but commits
 //! them in the serial order, so the routing outcome must be
-//! **byte-identical** to the single-threaded run for any thread count,
-//! any region size, and any budget interruption point. These tests pin
-//! that contract on a generated paper-suite instance; the committed
-//! `BENCH_matrix.json` fingerprints pin it on the full circuit×arm
-//! matrix.
+//! **byte-identical** to the single-threaded run for any pool width
+//! and any budget interruption point. These tests pin that contract on
+//! a generated paper-suite instance, setting the width only through
+//! `sadp_exec::with_threads`; the region sweep lives in the scheduler's
+//! unit tests, and the committed `BENCH_matrix.json` fingerprints pin
+//! the full circuit×arm matrix.
 
 use sadp_dvi::prelude::*;
 
@@ -22,14 +23,9 @@ fn run_arm(
     netlist: &Netlist,
     config: RouterConfig,
     threads: usize,
-    params: Option<ShardParams>,
 ) -> RoutingOutcome {
     sadp_exec::with_threads(threads, || {
-        let mut session = RoutingSession::new(grid, netlist, config);
-        if let Some(p) = params {
-            session.set_shard_params(p);
-        }
-        session.finish(&mut NoopObserver)
+        RoutingSession::new(grid, netlist, config).finish(&mut NoopObserver)
     })
 }
 
@@ -57,33 +53,6 @@ fn assert_same_outcome(a: &RoutingOutcome, b: &RoutingOutcome, what: &str) {
 }
 
 #[test]
-fn sharded_outcomes_are_identical_across_threads_and_regions() {
-    let (grid, netlist) = instance();
-    for config in [
-        RouterConfig::baseline(SadpKind::Sim),
-        RouterConfig::full(SadpKind::Sim),
-    ] {
-        let serial = run_arm(&grid, &netlist, config, 1, None);
-        assert!(serial.routed_all, "fixture must route fully");
-        for threads in [2, 4, 8] {
-            for region in [4, 16, 64] {
-                let params = ShardParams {
-                    enabled: true,
-                    region,
-                    max_wave: 64,
-                };
-                let sharded = run_arm(&grid, &netlist, config, threads, Some(params));
-                assert_same_outcome(
-                    &serial,
-                    &sharded,
-                    &format!("threads={threads} region={region}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn sharded_counter_totals_match_serial() {
     // The seven routing counters are part of the serial schedule and
     // must match exactly; only the wave meta-counters may differ with
@@ -93,13 +62,7 @@ fn sharded_counter_totals_match_serial() {
     let totals = |threads: usize| {
         sadp_exec::with_threads(threads, || {
             let mut log = EventLog::new();
-            let mut session = RoutingSession::new(&grid, &netlist, config);
-            session.set_shard_params(ShardParams {
-                enabled: true,
-                region: 16,
-                max_wave: 64,
-            });
-            session.finish(&mut log);
+            RoutingSession::new(&grid, &netlist, config).finish(&mut log);
             [
                 Counter::Iterations,
                 Counter::Reroutes,
@@ -126,16 +89,11 @@ fn sharded_counter_totals_match_serial() {
 fn budget_interrupted_sharded_run_resumes_to_the_serial_outcome() {
     let (grid, netlist) = instance();
     let config = RouterConfig::full(SadpKind::Sim);
-    let serial = run_arm(&grid, &netlist, config, 1, None);
+    let serial = run_arm(&grid, &netlist, config, 1);
 
     for threads in [2, 4] {
         let resumed = sadp_exec::with_threads(threads, || {
             let mut session = RoutingSession::new(&grid, &netlist, config);
-            session.set_shard_params(ShardParams {
-                enabled: true,
-                region: 16,
-                max_wave: 64,
-            });
             // Drip-feed the phases a few iterations at a time; every
             // budget stop lands mid-phase and must roll the in-flight
             // wave back to an exact serial state before resuming.
@@ -155,23 +113,4 @@ fn budget_interrupted_sharded_run_resumes_to_the_serial_outcome() {
         });
         assert_same_outcome(&serial, &resumed, &format!("resumed threads={threads}"));
     }
-}
-
-#[test]
-fn disabling_sharding_still_matches() {
-    let (grid, netlist) = instance();
-    let config = RouterConfig::full(SadpKind::Sim);
-    let serial = run_arm(&grid, &netlist, config, 1, None);
-    let disabled = run_arm(
-        &grid,
-        &netlist,
-        config,
-        4,
-        Some(ShardParams {
-            enabled: false,
-            region: 16,
-            max_wave: 64,
-        }),
-    );
-    assert_same_outcome(&serial, &disabled, "sharding disabled");
 }
