@@ -9,13 +9,14 @@
 //! ```text
 //! cargo run --release -p bench-suite --bin bench_costs \
 //!     [-- --scale f --seed n --reps k --circuits a,b --out path
-//!      --baseline BENCH_costs.json --tolerance 3.0]
+//!      --baseline BENCH_costs.json]
 //! ```
 //!
 //! With `--baseline`, the run compares each circuit's *speedup*
 //! against the named report and exits non-zero when any circuit's
-//! speedup dropped by more than `--tolerance` percent, or when the
-//! geomean speedup falls below the 3x floor — the CI gate that keeps
+//! speedup dropped by more than [`TOLERANCE_PCT`] percent, or when the
+//! geomean speedup falls below the [`MIN_GEOMEAN_SPEEDUP`] floor — the
+//! CI gate that keeps
 //! the occupancy index O(1) in practice, not just on paper. The gate
 //! works on speedups rather than raw ns/op because both
 //! implementations run interleaved on the same host, so load and
@@ -28,7 +29,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use benchgen::BenchSpec;
+use bench_suite::gate::{self, Better, Check};
+use bench_suite::RunArgs;
 use dvi::candidates::reference;
 use dvi::{feasible_candidate, LayoutView};
 use sadp_grid::{Dir, NetId, RoutedNet, RoutingSolution, SadpKind};
@@ -102,67 +104,44 @@ fn run_reference(solution: &RoutingSolution, routes: &[(NetId, RoutedNet)]) -> P
     )
 }
 
-fn parse_or_die<T: std::str::FromStr>(val: &str, flag: &str, what: &str) -> T {
-    val.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} takes {what}, got {val:?}");
-        std::process::exit(2);
-    })
-}
+/// Largest allowed per-circuit speedup drop vs the baseline, percent.
+const TOLERANCE_PCT: f64 = 30.0;
+
+/// The dense index must beat the reference by at least this geomean
+/// factor whenever the baseline gate runs — the headline invariant,
+/// enforced independently of the committed baseline numbers.
+const MIN_GEOMEAN_SPEEDUP: f64 = 3.0;
 
 fn main() {
-    let mut scale = 0.1f64;
-    let mut seed = 1u64;
+    let mut args = RunArgs {
+        scale: 0.1,
+        circuits: Some(gate::list("ecc,efc,ctl,alu")),
+        ..RunArgs::default()
+    };
     let mut reps = 5usize;
-    let mut circuits: Vec<String> = ["ecc", "efc", "ctl", "alu"].map(String::from).to_vec();
     let mut out = String::from("BENCH_costs.json");
     let mut baseline: Option<String> = None;
-    let mut tolerance = 3.0f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("missing value for {}", args[i]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--scale" => scale = parse_or_die(need(i), "--scale", "a float"),
-            "--seed" => seed = parse_or_die(need(i), "--seed", "an integer"),
-            "--reps" => reps = parse_or_die(need(i), "--reps", "an integer"),
-            "--circuits" => circuits = need(i).split(',').map(|s| s.trim().to_string()).collect(),
-            "--out" => out = need(i).clone(),
-            "--baseline" => baseline = Some(need(i).clone()),
-            "--tolerance" => tolerance = parse_or_die(need(i), "--tolerance", "a percentage"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: [--scale f] [--seed n] [--reps k] [--circuits a,b,...] [--out path] \
-                     [--baseline path] [--tolerance pct]"
-                );
-                std::process::exit(0);
+    gate::read_flags(
+        "[--scale f] [--seed n] [--reps k] [--circuits a,b,...] [--out path] [--baseline path]",
+        |flag, val| {
+            match flag {
+                "--scale" => args.scale = gate::value(flag, val, "a float"),
+                "--seed" => args.seed = gate::value(flag, val, "an integer"),
+                "--reps" => reps = gate::value(flag, val, "an integer"),
+                "--circuits" => args.circuits = Some(gate::list(val)),
+                "--out" => out = val.to_string(),
+                "--baseline" => baseline = Some(val.to_string()),
+                _ => return false,
             }
-            other => {
-                eprintln!("unknown argument {other} (try --help)");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
-
-    let suite: Vec<BenchSpec> = BenchSpec::paper_suite()
-        .into_iter()
-        .filter(|s| circuits.iter().any(|n| n == s.name))
-        .map(|s| s.scaled(scale))
-        .collect();
-    if suite.is_empty() {
-        eprintln!("no circuits matched {:?} (try --help)", circuits.join(","));
-        std::process::exit(2);
-    }
+            true
+        },
+    );
+    let (suite, seed) = (args.suite(), args.seed);
 
     // One task per circuit; both implementations stay interleaved
     // within a task so contention hits both sides of each ratio
     // equally.
-    let per_spec: Vec<(String, f64, String)> = sadp_exec::map(&suite, |spec| {
+    let per_spec: Vec<(String, f64)> = sadp_exec::map(&suite, |spec| {
         let netlist = spec.generate(seed);
         let outcome =
             RoutingSession::try_new(&spec.grid(), &netlist, RouterConfig::full(SadpKind::Sim))
@@ -196,21 +175,10 @@ fn main() {
         );
         assert_eq!(refr.ops, dense.ops, "{}: op counts diverged", spec.name);
         let speedup = refr.ns_per_op() / dense.ns_per_op();
-        let log = format!(
-            "  {}: {} nets, {} vias, {} ops, reference {:.1} ns/op, dense {:.1} ns/op -> {:.2}x",
-            spec.name,
-            routes.len(),
-            via_count,
-            dense.ops,
-            refr.ns_per_op(),
-            dense.ns_per_op(),
-            speedup
-        );
-        let row = format!(
-            "    {{\"name\": \"{}\", \"nets\": {}, \"vias\": {}, \"grid\": [{}, {}], \
+        let metrics = format!(
+            "\"nets\": {}, \"vias\": {}, \"grid\": [{}, {}], \
              \"ops\": {}, \"reference_ns_per_op\": {:.1}, \"dense_ns_per_op\": {:.1}, \
-             \"speedup\": {:.3}}}",
-            spec.name,
+             \"speedup\": {:.3}",
             routes.len(),
             via_count,
             spec.width,
@@ -220,72 +188,35 @@ fn main() {
             dense.ns_per_op(),
             speedup
         );
-        (row, speedup, log)
+        (metrics, speedup)
     });
-    let mut rows = Vec::new();
+    let mut report = gate::Report::new(
+        "occupancy-costs",
+        seed,
+        &[("scale", &args.scale), ("reps", &reps)],
+    );
     let mut log_speedup_sum = 0.0f64;
-    for (row, speedup, log) in per_spec {
-        eprintln!("{log}");
+    for (spec, (metrics, speedup)) in suite.iter().zip(per_spec) {
         log_speedup_sum += speedup.ln();
-        rows.push(row);
+        report.rung(spec.name, &metrics);
     }
     let geomean = (log_speedup_sum / suite.len() as f64).exp();
-    let json = format!(
-        "{{\n  \"bench\": \"occupancy-costs\",\n  \"seed\": {seed},\n  \"scale\": {scale},\n  \
-         \"reps\": {reps},\n  \"workloads\": [\n{}\n  ],\n  \"geomean_speedup\": {geomean:.3}\n}}\n",
-        rows.join(",\n")
-    );
+    report.rung("all", &format!("\"geomean_speedup\": {geomean:.3}"));
+    let json = report.to_json();
     std::fs::write(&out, &json).expect("write benchmark json");
     println!("geomean speedup: {geomean:.2}x -> {out}");
 
     // The gate compares *speedups*, not absolute ns/op: both sides of
     // each ratio run interleaved on the same host, so machine load and
     // thermal drift divide out where raw nanoseconds would not.
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let mut failures = 0usize;
-        for spec in &suite {
-            let Some(base) = circuit_speedup(&text, spec.name) else {
-                eprintln!("  baseline {path} has no entry for {}; skipping", spec.name);
-                continue;
-            };
-            let now = circuit_speedup(&json, spec.name).expect("own report has the circuit");
-            let delta = (now - base) / base * 100.0;
-            let verdict = if delta < -tolerance { "FAIL" } else { "ok" };
-            eprintln!(
-                "  baseline check {}: {now:.2}x vs {base:.2}x baseline ({delta:+.1}%) {verdict}",
-                spec.name
-            );
-            if delta < -tolerance {
-                failures += 1;
-            }
-        }
-        if geomean < MIN_GEOMEAN_SPEEDUP {
-            eprintln!("geomean speedup {geomean:.2}x is below the {MIN_GEOMEAN_SPEEDUP:.1}x floor");
-            failures += 1;
-        }
-        if failures > 0 {
-            eprintln!("{failures} check(s) regressed more than {tolerance}% vs {path}");
-            std::process::exit(1);
-        }
-        println!("baseline check passed: all speedups within {tolerance}% of {path}");
+    let mut checks = vec![Check::Regression("speedup", Better::Higher, TOLERANCE_PCT)];
+    if baseline.is_some() {
+        checks.push(Check::Limit(
+            "all",
+            "geomean_speedup",
+            Better::Higher,
+            MIN_GEOMEAN_SPEEDUP,
+        ));
     }
-}
-
-/// The dense index must beat the reference by at least this geomean
-/// factor whenever the baseline gate runs — the headline invariant,
-/// enforced independently of the committed baseline numbers.
-const MIN_GEOMEAN_SPEEDUP: f64 = 3.0;
-
-/// Pulls `"speedup"` for one circuit out of a `BENCH_costs.json`
-/// document (string scan — the workspace has no JSON parser
-/// dependency).
-fn circuit_speedup(json: &str, name: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\": \"{name}\""))?;
-    let rest = &json[at..];
-    let key = "\"speedup\": ";
-    let v = &rest[rest.find(key)? + key.len()..];
-    let end = v.find([',', '}'])?;
-    v[..end].trim().parse().ok()
+    gate::enforce(&json, baseline.as_deref(), &checks);
 }

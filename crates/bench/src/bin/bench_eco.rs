@@ -7,19 +7,21 @@
 //! ```text
 //! cargo run --release -p bench-suite --bin bench_eco \
 //!     [-- --rungs small|medium|full --seed n --reps k --out path
-//!      --baseline BENCH_eco.json --tolerance 40 --min-speedup 5]
+//!      --baseline BENCH_eco.json]
 //! ```
 //!
-//! `--min-speedup` gates the geomean of the 1-net-delta rows — the
-//! headline claim that editing one net must not cost a full reroute.
-//! `--baseline` additionally compares every row's speedup against a
-//! committed report at `--tolerance` percent slack (speedups are
-//! ratios of two same-host measurements, so they travel better across
-//! machines than absolute times, but still breathe with load).
+//! Every run gates the geomean of the 1-net-delta rows at
+//! [`MIN_SPEEDUP`] — the headline claim that editing one net must not
+//! cost a full reroute. `--baseline` additionally compares every row's
+//! speedup against a committed report at [`TOLERANCE_PCT`] percent
+//! slack (speedups are ratios of two same-host measurements, so they
+//! travel better across machines than absolute times, but still
+//! breathe with load).
 
 use std::collections::HashSet;
 use std::time::Instant;
 
+use bench_suite::gate::{self, Better, Check};
 use benchgen::BenchSpec;
 use sadp_grid::{LayoutDelta, NetId, Netlist, Pin, RoutingGrid, SadpKind};
 use sadp_router::{eco, RouterConfig, RoutingSession};
@@ -196,12 +198,11 @@ fn geomean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-fn parse_or_die<T: std::str::FromStr>(val: &str, flag: &str, what: &str) -> T {
-    val.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} takes {what}, got {val:?}");
-        std::process::exit(2);
-    })
-}
+/// Floor of the geomean warm-vs-cold speedup of the 1-net edits.
+const MIN_SPEEDUP: f64 = 5.0;
+
+/// Largest allowed per-row speedup drop vs the baseline, percent.
+const TOLERANCE_PCT: f64 = 40.0;
 
 fn main() {
     let mut level = 1u8;
@@ -209,165 +210,58 @@ fn main() {
     let mut reps = 2usize;
     let mut out = String::from("BENCH_eco.json");
     let mut baseline: Option<String> = None;
-    let mut tolerance = 40.0f64;
-    let mut min_speedup = 0.0f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("missing value for {}", args[i]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--rungs" => {
-                level = match need(i).as_str() {
-                    "small" => 0,
-                    "medium" => 1,
-                    "full" => 2,
-                    other => {
-                        eprintln!("--rungs takes small|medium|full, got {other:?}");
-                        std::process::exit(2);
-                    }
-                }
+    gate::read_flags(
+        "[--rungs small|medium|full] [--seed n] [--reps k] [--out path] [--baseline path]",
+        |flag, val| {
+            match flag {
+                "--rungs" => level = gate::ladder_level(flag, val),
+                "--seed" => seed = gate::value(flag, val, "an integer"),
+                "--reps" => reps = gate::value(flag, val, "an integer"),
+                "--out" => out = val.to_string(),
+                "--baseline" => baseline = Some(val.to_string()),
+                _ => return false,
             }
-            "--seed" => seed = parse_or_die(need(i), "--seed", "an integer"),
-            "--reps" => reps = parse_or_die(need(i), "--reps", "an integer"),
-            "--out" => out = need(i).clone(),
-            "--baseline" => baseline = Some(need(i).clone()),
-            "--tolerance" => tolerance = parse_or_die(need(i), "--tolerance", "a percentage"),
-            "--min-speedup" => min_speedup = parse_or_die(need(i), "--min-speedup", "a ratio"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: [--rungs small|medium|full] [--seed n] [--reps k] [--out path] \
-                     [--baseline path] [--tolerance pct] [--min-speedup ratio]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other} (try --help)");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+            true
+        },
+    );
 
+    let mut report = gate::Report::new("eco-warm-start", seed, &[("reps", &reps)]);
     let mut rows: Vec<Row> = Vec::new();
     for rung in ladder(level) {
         for k in DELTA_SIZES {
-            let row = run_cell(&rung, k, seed, reps);
-            eprintln!(
-                "  {}: {} nets, {} victims, warm {:.1} ms vs cold {:.1} ms ({:.1}x)",
-                row.name,
-                row.nets,
-                row.victims,
-                row.warm_ms,
-                row.cold_ms,
-                row.speedup()
+            let r = run_cell(&rung, k, seed, reps);
+            report.rung(
+                &r.name,
+                &format!(
+                    "\"nets\": {}, \"delta_nets\": {k}, \"victims\": {}, \"warm_ms\": {:.2}, \
+                     \"cold_ms\": {:.2}, \"speedup\": {:.2}",
+                    r.nets,
+                    r.victims,
+                    r.warm_ms,
+                    r.cold_ms,
+                    r.speedup()
+                ),
             );
-            rows.push(row);
+            rows.push(r);
         }
     }
-
-    let geomeans: Vec<(usize, f64)> = DELTA_SIZES
+    let all: Vec<String> = DELTA_SIZES
         .iter()
         .map(|&k| {
-            (
-                k,
-                geomean(rows.iter().filter(|r| r.delta_nets == k).map(Row::speedup)),
-            )
+            let g = geomean(rows.iter().filter(|r| r.delta_nets == k).map(Row::speedup));
+            format!("\"geomean_speedup_d{k}\": {g:.2}")
         })
         .collect();
-    for (k, g) in &geomeans {
-        eprintln!("  geomean {k}-net delta: {g:.1}x warm-vs-cold");
-    }
-
-    let row_json: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{}\", \"nets\": {}, \"delta_nets\": {}, \
-                 \"victims\": {}, \"warm_ms\": {:.2}, \"cold_ms\": {:.2}, \
-                 \"speedup\": {:.2}}}",
-                r.name,
-                r.nets,
-                r.delta_nets,
-                r.victims,
-                r.warm_ms,
-                r.cold_ms,
-                r.speedup()
-            )
-        })
-        .collect();
-    let geo_json: Vec<String> = geomeans
-        .iter()
-        .map(|(k, g)| format!("    {{\"name\": \"geomean/d{k}\", \"speedup\": {g:.2}}}"))
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"eco-warm-start\",\n  \"seed\": {seed},\n  \"reps\": {reps},\n  \
-         \"rungs\": [\n{}\n  ],\n  \"geomean\": [\n{}\n  ]\n}}\n",
-        row_json.join(",\n"),
-        geo_json.join(",\n")
-    );
+    report.rung("all", &all.join(", "));
+    let json = report.to_json();
     std::fs::write(&out, &json).expect("write benchmark json");
     println!("{} row(s) -> {out}", rows.len());
-
-    let mut failures = 0usize;
-    if min_speedup > 0.0 {
-        let g1 = geomeans
-            .iter()
-            .find(|(k, _)| *k == 1)
-            .map(|(_, g)| *g)
-            .unwrap_or(0.0);
-        let verdict = if g1 < min_speedup { "FAIL" } else { "ok" };
-        eprintln!(
-            "  floor check: {g1:.1}x geomean 1-net speedup vs {min_speedup:.1}x floor {verdict}"
-        );
-        if g1 < min_speedup {
-            failures += 1;
-        }
-    }
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let mut compared = 0usize;
-        for row in &rows {
-            let Some(base) = field(&text, &row.name, "speedup") else {
-                eprintln!("  baseline {path} has no row {}; skipping", row.name);
-                continue;
-            };
-            compared += 1;
-            let now = row.speedup();
-            let floor = base * (1.0 - tolerance / 100.0);
-            let verdict = if now < floor { "FAIL" } else { "ok" };
-            eprintln!(
-                "  baseline check {}: {now:.1}x vs {base:.1}x (floor {floor:.1}x) {verdict}",
-                row.name
-            );
-            if now < floor {
-                failures += 1;
-            }
-        }
-        if compared == 0 {
-            eprintln!("no row of this run exists in {path}; nothing gated");
-            std::process::exit(1);
-        }
-    }
-    if failures > 0 {
-        eprintln!("{failures} check(s) fell below the speedup floor");
-        std::process::exit(1);
-    }
-}
-
-/// Pulls a numeric field for one row out of a `BENCH_eco.json`
-/// document (string scan — the workspace has no JSON parser
-/// dependency).
-fn field(json: &str, name: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\": \"{name}\""))?;
-    let rest = &json[at..];
-    let pat = format!("\"{key}\": ");
-    let v = &rest[rest.find(&pat)? + pat.len()..];
-    let end = v.find([',', '}'])?;
-    v[..end].trim().parse().ok()
+    gate::enforce(
+        &json,
+        baseline.as_deref(),
+        &[
+            Check::Limit("all", "geomean_speedup_d1", Better::Higher, MIN_SPEEDUP),
+            Check::Regression("speedup", Better::Higher, TOLERANCE_PCT),
+        ],
+    );
 }

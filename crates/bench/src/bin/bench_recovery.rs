@@ -5,20 +5,22 @@
 //!
 //! ```text
 //! cargo run --release -p bench-suite --bin bench_recovery \
-//!     [-- --jobs n --workers w --seed n --out path --max-overhead 10
-//!      --baseline BENCH_recovery.json --tolerance 50]
+//!     [-- --jobs n --workers w --seed n --out path
+//!      --baseline BENCH_recovery.json]
 //! ```
 //!
 //! Hard gates: every job terminal, identical fingerprints between the
 //! plain and durable runs, warm-restart outcome identical to cold, and
-//! journal overhead within `--max-overhead` percent. With
+//! journal overhead within [`MAX_OVERHEAD_PCT`] percent. With
 //! `--baseline`, durable throughput and recovery-scan speed are also
-//! gated against the committed numbers (latency-style metrics swing
-//! with host io, so the default tolerance is generous).
+//! gated against the committed numbers at [`TOLERANCE_PCT`]
+//! (latency-style metrics swing with host io, so the tolerance is
+//! generous).
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use bench_suite::gate::{self, Better, Check};
 use sadp_grid::SadpKind;
 use sadp_router::{RouteBudget, RouterConfig, RoutingSession};
 use sadp_service::{
@@ -109,54 +111,33 @@ fn time_recovery_scan(records: usize, seed: u64) -> Duration {
     wall
 }
 
-fn parse_or_die<T: std::str::FromStr>(val: &str, flag: &str, what: &str) -> T {
-    val.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} takes {what}, got {val:?}");
-        std::process::exit(2);
-    })
-}
+/// Largest allowed write-ahead journal cost, percent of plain wall.
+const MAX_OVERHEAD_PCT: f64 = 10.0;
+
+/// Largest allowed worsening of durable throughput and recovery-scan
+/// time vs the baseline, percent.
+const TOLERANCE_PCT: f64 = 60.0;
 
 fn main() {
     let mut jobs = 200usize;
     let mut workers = 0usize;
     let mut seed = 1u64;
     let mut out = String::from("BENCH_recovery.json");
-    let mut max_overhead = 10.0f64;
     let mut baseline: Option<String> = None;
-    let mut tolerance = 50.0f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("missing value for {}", args[i]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--jobs" => jobs = parse_or_die(need(i), "--jobs", "an integer"),
-            "--workers" => workers = parse_or_die(need(i), "--workers", "an integer"),
-            "--seed" => seed = parse_or_die(need(i), "--seed", "an integer"),
-            "--out" => out = need(i).clone(),
-            "--max-overhead" => {
-                max_overhead = parse_or_die(need(i), "--max-overhead", "a percentage")
+    gate::read_flags(
+        "[--jobs n] [--workers w] [--seed n] [--out path] [--baseline path]",
+        |flag, val| {
+            match flag {
+                "--jobs" => jobs = gate::value(flag, val, "an integer"),
+                "--workers" => workers = gate::value(flag, val, "an integer"),
+                "--seed" => seed = gate::value(flag, val, "an integer"),
+                "--out" => out = val.to_string(),
+                "--baseline" => baseline = Some(val.to_string()),
+                _ => return false,
             }
-            "--baseline" => baseline = Some(need(i).clone()),
-            "--tolerance" => tolerance = parse_or_die(need(i), "--tolerance", "a percentage"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: [--jobs n] [--workers w] [--seed n] [--out path] \
-                     [--max-overhead pct] [--baseline path] [--tolerance pct]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other} (try --help)");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+            true
+        },
+    );
 
     let config = ServiceConfig {
         workers,
@@ -188,10 +169,6 @@ fn main() {
     let overhead_us_per_job = (durable_s - plain_s) * 1e6 / jobs as f64;
     let plain_jps = jobs as f64 / plain_s;
     let durable_jps = jobs as f64 / durable_s;
-    eprintln!(
-        "  plain {plain_s:.2} s ({plain_jps:.1} jobs/s), durable {durable_s:.2} s \
-         ({durable_jps:.1} jobs/s): {overhead_pct:+.1}% ({overhead_us_per_job:.0} us/job)"
-    );
 
     // Leg 2: recovery-scan time as the journal grows.
     let scan_sizes = [50usize, 200, 800];
@@ -267,81 +244,36 @@ fn main() {
         std::process::exit(1);
     }
     let warm_speedup = cold_ms / warm_ms.max(1e-6);
-    eprintln!(
-        "checkpoint warm restart: cold {cold_ms:.1} ms, warm {warm_ms:.1} ms \
-         ({warm_speedup:.2}x)"
-    );
 
-    let json = format!(
-        "{{\n  \"bench\": \"recovery\",\n  \"seed\": {seed},\n  \"workers\": {pool},\n  \
-         \"host_cores\": {},\n  \"jobs\": {jobs},\n  \
-         \"plain_jobs_per_sec\": {plain_jps:.1},\n  \
-         \"durable_jobs_per_sec\": {durable_jps:.1},\n  \
-         \"journal_overhead_pct\": {overhead_pct:.2},\n  \
-         \"journal_overhead_us_per_job\": {overhead_us_per_job:.1},\n  \
-         \"recover_ms_50\": {:.3},\n  \"recover_ms_200\": {:.3},\n  \
-         \"recover_ms_800\": {:.3},\n  \
-         \"recover_us_per_record\": {recover_us_per_record:.2},\n  \
-         \"cold_route_ms\": {cold_ms:.1},\n  \"warm_restore_ms\": {warm_ms:.1},\n  \
-         \"warm_speedup\": {warm_speedup:.2},\n  \"all_terminal\": true\n}}\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        scan_ms[0],
-        scan_ms[1],
-        scan_ms[2],
+    let mut report = gate::Report::new("recovery", seed, &[("workers", &pool), ("jobs", &jobs)]);
+    report.rung(
+        "all",
+        &format!(
+            "\"plain_jobs_per_sec\": {plain_jps:.1}, \"durable_jobs_per_sec\": {durable_jps:.1}, \
+             \"journal_overhead_pct\": {overhead_pct:.2}, \
+             \"journal_overhead_us_per_job\": {overhead_us_per_job:.1}, \
+             \"recover_ms_50\": {:.3}, \"recover_ms_200\": {:.3}, \"recover_ms_800\": {:.3}, \
+             \"recover_us_per_record\": {recover_us_per_record:.2}, \
+             \"cold_route_ms\": {cold_ms:.1}, \"warm_restore_ms\": {warm_ms:.1}, \
+             \"warm_speedup\": {warm_speedup:.2}, \"all_terminal\": true",
+            scan_ms[0], scan_ms[1], scan_ms[2],
+        ),
     );
+    let json = report.to_json();
     std::fs::write(&out, &json).expect("write benchmark json");
     println!("{jobs} job(s) -> {out}");
-
-    if overhead_pct > max_overhead {
-        eprintln!(
-            "journal overhead {overhead_pct:.1}% exceeds the {max_overhead}% budget — \
-             the write-ahead path has regressed"
-        );
-        std::process::exit(1);
-    }
-    println!("overhead gate passed: {overhead_pct:.1}% <= {max_overhead}%");
-
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let mut failed = false;
-        // Throughput-style gates: lower-is-worse for jobs/s,
-        // higher-is-worse for scan time.
-        for (key, current, higher_is_better) in [
-            ("durable_jobs_per_sec", durable_jps, true),
-            ("recover_us_per_record", recover_us_per_record, false),
-        ] {
-            let Some(base) = field(&text, key) else {
-                eprintln!("baseline {path} has no {key} field");
-                std::process::exit(1);
-            };
-            let delta = if higher_is_better {
-                (base - current) / base * 100.0
-            } else {
-                (current - base) / base.max(1e-9) * 100.0
-            };
-            let verdict = if delta > tolerance { "FAIL" } else { "ok" };
-            eprintln!(
-                "  baseline check {key}: {current:.2} vs {base:.2} \
-                 ({:+.1}% vs baseline) {verdict}",
-                -delta
-            );
-            failed |= delta > tolerance;
-        }
-        if failed {
-            eprintln!("recovery metrics regressed beyond {tolerance}% vs {path}");
-            std::process::exit(1);
-        }
-        println!("baseline check passed: within {tolerance}% of {path}");
-    }
-}
-
-/// Pulls a top-level numeric field out of a `BENCH_recovery.json`
-/// document (string scan — the workspace has no JSON parser
-/// dependency).
-fn field(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let v = &json[json.find(&pat)? + pat.len()..];
-    let end = v.find([',', '\n', '}'])?;
-    v[..end].trim().parse().ok()
+    gate::enforce(
+        &json,
+        baseline.as_deref(),
+        &[
+            Check::Limit(
+                "all",
+                "journal_overhead_pct",
+                Better::Lower,
+                MAX_OVERHEAD_PCT,
+            ),
+            Check::Regression("durable_jobs_per_sec", Better::Higher, TOLERANCE_PCT),
+            Check::Regression("recover_us_per_record", Better::Lower, TOLERANCE_PCT),
+        ],
+    );
 }

@@ -6,14 +6,14 @@
 //! ```text
 //! cargo run --release -p bench-suite --bin bench_search \
 //!     [-- --scale f --seed n --reps k --circuits a,b --out path
-//!      --baseline BENCH_search.json --tolerance 3.0]
+//!      --baseline BENCH_search.json]
 //! ```
 //!
 //! With `--baseline`, the run compares each circuit's dense
 //! ns/connection against the named report and exits non-zero when any
-//! circuit is slower by more than `--tolerance` percent — the CI gate
-//! that keeps the observer plumbing (a `NoopObserver` monomorphizes to
-//! nothing) from taxing the search hot path.
+//! circuit is slower by more than [`TOLERANCE_PCT`] percent — the CI
+//! gate that keeps the observer plumbing (a `NoopObserver`
+//! monomorphizes to nothing) from taxing the search hot path.
 //!
 //! Both kernels route the same netlists in the same HPWL order with
 //! routes installed as they land (the initial-routing workload, which
@@ -24,6 +24,8 @@
 
 use std::time::Instant;
 
+use bench_suite::gate::{self, Better, Check};
+use bench_suite::RunArgs;
 use benchgen::BenchSpec;
 use sadp_grid::{NetId, SadpKind};
 use sadp_router::dijkstra::route_net_with;
@@ -87,68 +89,41 @@ fn run_kernel(spec: &BenchSpec, seed: u64, dense: bool) -> KernelRun {
     run
 }
 
-fn parse_or_die<T: std::str::FromStr>(val: &str, flag: &str, what: &str) -> T {
-    val.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} takes {what}, got {val:?}");
-        std::process::exit(2);
-    })
-}
+/// Largest allowed dense ns/connection regression vs the baseline,
+/// percent.
+const TOLERANCE_PCT: f64 = 3.0;
 
 fn main() {
-    let mut scale = 0.1f64;
-    let mut seed = 1u64;
+    let mut args = RunArgs {
+        scale: 0.1,
+        circuits: Some(gate::list("ecc,efc,ctl,alu")),
+        ..RunArgs::default()
+    };
     let mut reps = 3usize;
-    let mut circuits: Vec<String> = ["ecc", "efc", "ctl", "alu"].map(String::from).to_vec();
     let mut out = String::from("BENCH_search.json");
     let mut baseline: Option<String> = None;
-    let mut tolerance = 3.0f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("missing value for {}", args[i]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--scale" => scale = parse_or_die(need(i), "--scale", "a float"),
-            "--seed" => seed = parse_or_die(need(i), "--seed", "an integer"),
-            "--reps" => reps = parse_or_die(need(i), "--reps", "an integer"),
-            "--circuits" => circuits = need(i).split(',').map(|s| s.trim().to_string()).collect(),
-            "--out" => out = need(i).clone(),
-            "--baseline" => baseline = Some(need(i).clone()),
-            "--tolerance" => tolerance = parse_or_die(need(i), "--tolerance", "a percentage"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: [--scale f] [--seed n] [--reps k] [--circuits a,b,...] [--out path] \
-                     [--baseline path] [--tolerance pct]"
-                );
-                std::process::exit(0);
+    gate::read_flags(
+        "[--scale f] [--seed n] [--reps k] [--circuits a,b,...] [--out path] [--baseline path]",
+        |flag, val| {
+            match flag {
+                "--scale" => args.scale = gate::value(flag, val, "a float"),
+                "--seed" => args.seed = gate::value(flag, val, "an integer"),
+                "--reps" => reps = gate::value(flag, val, "an integer"),
+                "--circuits" => args.circuits = Some(gate::list(val)),
+                "--out" => out = val.to_string(),
+                "--baseline" => baseline = Some(val.to_string()),
+                _ => return false,
             }
-            other => {
-                eprintln!("unknown argument {other} (try --help)");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
-
-    let suite: Vec<BenchSpec> = BenchSpec::paper_suite()
-        .into_iter()
-        .filter(|s| circuits.iter().any(|n| n == s.name))
-        .map(|s| s.scaled(scale))
-        .collect();
-    if suite.is_empty() {
-        eprintln!("no circuits matched {:?} (try --help)", circuits.join(","));
-        std::process::exit(2);
-    }
+            true
+        },
+    );
+    let (suite, seed) = (args.suite(), args.seed);
 
     // One task per circuit. Both kernels stay interleaved *within* a
     // task, so even when circuits time concurrently the contention
-    // hits both sides of each speedup ratio equally; logs and rows
-    // merge in suite order.
-    let per_spec: Vec<(String, f64, String)> = sadp_exec::map(&suite, |spec| {
+    // hits both sides of each speedup ratio equally; rungs merge in
+    // suite order.
+    let per_spec: Vec<(String, f64)> = sadp_exec::map(&suite, |spec| {
         // Best of `reps` per kernel, interleaved so thermal/cache
         // drift hits both sides equally.
         let mut reference: Option<KernelRun> = None;
@@ -174,23 +149,11 @@ fn main() {
         );
         assert_eq!(dense.failed, 0, "{}: dense kernel failed nets", spec.name);
         let speedup = reference.ns_per_connection() / dense.ns_per_connection();
-        let log = format!(
-            "  {}: {} nets, reference {:.0} ns/conn ({} conns), dense {:.0} ns/conn ({} conns) \
-             -> {:.2}x",
-            spec.name,
-            reference.routed,
-            reference.ns_per_connection(),
-            reference.connections,
-            dense.ns_per_connection(),
-            dense.connections,
-            speedup
-        );
-        let row = format!(
-            "    {{\"name\": \"{}\", \"nets\": {}, \"grid\": [{}, {}], \
+        let metrics = format!(
+            "\"nets\": {}, \"grid\": [{}, {}], \
              \"reference_ns_per_connection\": {:.1}, \"reference_connections\": {}, \
              \"dense_ns_per_connection\": {:.1}, \"dense_connections\": {}, \
-             \"speedup\": {:.3}}}",
-            spec.name,
+             \"speedup\": {:.3}",
             reference.routed,
             spec.width,
             spec.height,
@@ -200,64 +163,30 @@ fn main() {
             dense.connections,
             speedup
         );
-        (row, speedup, log)
+        (metrics, speedup)
     });
-    let mut rows = Vec::new();
+    let mut report = gate::Report::new(
+        "search-kernel",
+        seed,
+        &[("scale", &args.scale), ("reps", &reps)],
+    );
     let mut log_speedup_sum = 0.0f64;
-    for (row, speedup, log) in per_spec {
-        eprintln!("{log}");
+    for (spec, (metrics, speedup)) in suite.iter().zip(per_spec) {
         log_speedup_sum += speedup.ln();
-        rows.push(row);
+        report.rung(spec.name, &metrics);
     }
     let geomean = (log_speedup_sum / suite.len() as f64).exp();
-    let json = format!(
-        "{{\n  \"bench\": \"search-kernel\",\n  \"seed\": {seed},\n  \"scale\": {scale},\n  \
-         \"reps\": {reps},\n  \"workloads\": [\n{}\n  ],\n  \"geomean_speedup\": {geomean:.3}\n}}\n",
-        rows.join(",\n")
-    );
+    report.rung("all", &format!("\"geomean_speedup\": {geomean:.3}"));
+    let json = report.to_json();
     std::fs::write(&out, &json).expect("write benchmark json");
     println!("geomean speedup: {geomean:.2}x -> {out}");
-
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let mut failures = 0usize;
-        for spec in &suite {
-            let Some(base) = baseline_ns(&text, spec.name) else {
-                eprintln!("  baseline {path} has no entry for {}; skipping", spec.name);
-                continue;
-            };
-            let now = dense_ns(&json, spec.name).expect("own report has the circuit");
-            let delta = (now - base) / base * 100.0;
-            let verdict = if delta > tolerance { "FAIL" } else { "ok" };
-            eprintln!(
-                "  baseline check {}: {now:.1} ns/conn vs {base:.1} baseline ({delta:+.1}%) {verdict}",
-                spec.name
-            );
-            if delta > tolerance {
-                failures += 1;
-            }
-        }
-        if failures > 0 {
-            eprintln!("{failures} circuit(s) regressed more than {tolerance}% vs {path}");
-            std::process::exit(1);
-        }
-        println!("baseline check passed: all circuits within {tolerance}% of {path}");
-    }
-}
-
-/// Pulls `"dense_ns_per_connection"` for one circuit out of a
-/// `BENCH_search.json` document (string scan — the workspace has no
-/// JSON parser dependency).
-fn dense_ns(json: &str, name: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\": \"{name}\""))?;
-    let rest = &json[at..];
-    let key = "\"dense_ns_per_connection\": ";
-    let v = &rest[rest.find(key)? + key.len()..];
-    let end = v.find([',', '}'])?;
-    v[..end].trim().parse().ok()
-}
-
-fn baseline_ns(json: &str, name: &str) -> Option<f64> {
-    dense_ns(json, name)
+    gate::enforce(
+        &json,
+        baseline.as_deref(),
+        &[Check::Regression(
+            "dense_ns_per_connection",
+            Better::Lower,
+            TOLERANCE_PCT,
+        )],
+    );
 }

@@ -7,18 +7,20 @@
 //! ```text
 //! cargo run --release -p bench-suite --bin bench_service \
 //!     [-- --jobs n --workers w --seed n --out path
-//!      --baseline BENCH_service.json --tolerance 30]
+//!      --baseline BENCH_service.json]
 //! ```
 //!
-//! With `--baseline`, throughput is gated (a drop beyond the tolerance
-//! fails the run); latency percentiles and the miss rate are reported
-//! but not hard-gated — they swing with host speed, while a throughput
-//! collapse or a non-terminal job is a real regression on any host.
+//! With `--baseline`, throughput is gated (a drop beyond
+//! [`TOLERANCE_PCT`] fails the run); latency percentiles and the miss
+//! rate are reported but not hard-gated — they swing with host speed,
+//! while a throughput collapse or a non-terminal job is a real
+//! regression on any host.
 //! `all_terminal` is always a hard gate: every submitted job must
 //! reach a typed terminal outcome for the run to count at all.
 
 use std::time::{Duration, Instant};
 
+use bench_suite::gate::{self, Better, Check};
 use sadp_grid::SadpKind;
 use sadp_router::Termination;
 use sadp_service::{
@@ -79,12 +81,10 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     sorted_ms[rank.min(sorted_ms.len() - 1)]
 }
 
-fn parse_or_die<T: std::str::FromStr>(val: &str, flag: &str, what: &str) -> T {
-    val.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} takes {what}, got {val:?}");
-        std::process::exit(2);
-    })
-}
+/// Largest allowed throughput drop vs the baseline, percent
+/// (generous: the baseline host and a CI runner differ in core count;
+/// a real scheduling or slicing regression costs integer factors).
+const TOLERANCE_PCT: f64 = 60.0;
 
 fn main() {
     let mut jobs = 400usize;
@@ -92,37 +92,20 @@ fn main() {
     let mut seed = 1u64;
     let mut out = String::from("BENCH_service.json");
     let mut baseline: Option<String> = None;
-    let mut tolerance = 30.0f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("missing value for {}", args[i]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--jobs" => jobs = parse_or_die(need(i), "--jobs", "an integer"),
-            "--workers" => workers = parse_or_die(need(i), "--workers", "an integer"),
-            "--seed" => seed = parse_or_die(need(i), "--seed", "an integer"),
-            "--out" => out = need(i).clone(),
-            "--baseline" => baseline = Some(need(i).clone()),
-            "--tolerance" => tolerance = parse_or_die(need(i), "--tolerance", "a percentage"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: [--jobs n] [--workers w] [--seed n] [--out path] \
-                     [--baseline path] [--tolerance pct]"
-                );
-                std::process::exit(0);
+    gate::read_flags(
+        "[--jobs n] [--workers w] [--seed n] [--out path] [--baseline path]",
+        |flag, val| {
+            match flag {
+                "--jobs" => jobs = gate::value(flag, val, "an integer"),
+                "--workers" => workers = gate::value(flag, val, "an integer"),
+                "--seed" => seed = gate::value(flag, val, "an integer"),
+                "--out" => out = val.to_string(),
+                "--baseline" => baseline = Some(val.to_string()),
+                _ => return false,
             }
-            other => {
-                eprintln!("unknown argument {other} (try --help)");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+            true
+        },
+    );
 
     let service = Service::start(ServiceConfig {
         workers,
@@ -217,48 +200,26 @@ fn main() {
         std::process::exit(1);
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"service-load\",\n  \"seed\": {seed},\n  \"workers\": {pool},\n  \
-         \"host_cores\": {},\n  \"jobs\": {jobs},\n  \"jobs_per_sec\": {jobs_per_sec:.1},\n  \
-         \"p50_ms\": {p50:.2},\n  \"p99_ms\": {p99:.2},\n  \
-         \"deadline_miss_rate\": {miss_rate:.4},\n  \"completed\": {completed},\n  \
-         \"failed\": {failed},\n  \"all_terminal\": {all_terminal}\n}}\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    let mut report =
+        gate::Report::new("service-load", seed, &[("workers", &pool), ("jobs", &jobs)]);
+    report.rung(
+        "all",
+        &format!(
+            "\"jobs_per_sec\": {jobs_per_sec:.1}, \"p50_ms\": {p50:.2}, \"p99_ms\": {p99:.2}, \
+             \"deadline_miss_rate\": {miss_rate:.4}, \"completed\": {completed}, \
+             \"failed\": {failed}, \"all_terminal\": {all_terminal}"
+        ),
     );
+    let json = report.to_json();
     std::fs::write(&out, &json).expect("write benchmark json");
     println!("{jobs} job(s) -> {out}");
-
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let Some(base_tp) = field(&text, "jobs_per_sec") else {
-            eprintln!("baseline {path} has no jobs_per_sec field");
-            std::process::exit(1);
-        };
-        let delta = (base_tp - jobs_per_sec) / base_tp * 100.0;
-        let verdict = if delta > tolerance { "FAIL" } else { "ok" };
-        eprintln!(
-            "  baseline check throughput: {jobs_per_sec:.1} jobs/s vs {base_tp:.1} \
-             ({:+.1}% vs baseline) {verdict}",
-            -delta
-        );
-        if let Some(base_p99) = field(&text, "p99_ms") {
-            eprintln!("  baseline p99 (informational): {p99:.1} ms vs {base_p99:.1} ms");
-        }
-        if delta > tolerance {
-            eprintln!("throughput regressed beyond {tolerance}% vs {path}");
-            std::process::exit(1);
-        }
-        println!("baseline check passed: throughput within {tolerance}% of {path}");
-    }
-}
-
-/// Pulls a top-level numeric field out of a `BENCH_service.json`
-/// document (string scan — the workspace has no JSON parser
-/// dependency).
-fn field(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let v = &json[json.find(&pat)? + pat.len()..];
-    let end = v.find([',', '\n', '}'])?;
-    v[..end].trim().parse().ok()
+    gate::enforce(
+        &json,
+        baseline.as_deref(),
+        &[Check::Regression(
+            "jobs_per_sec",
+            Better::Higher,
+            TOLERANCE_PCT,
+        )],
+    );
 }

@@ -10,6 +10,8 @@ use sadp_grid::{Netlist, RoutingGrid, SadpKind};
 use sadp_router::{RouteBudget, RouterConfig, RoutingSession};
 use sadp_trace::{merge_reports, JsonReport, NoopObserver, RouteObserver};
 
+use crate::gate;
+
 /// Which solver computes the post-routing TPL-aware DVI metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DviMode {
@@ -65,78 +67,45 @@ impl Default for RunArgs {
 }
 
 impl RunArgs {
-    /// Parses `std::env::args()`; unknown flags abort with a usage
-    /// message.
+    /// Parses `std::env::args()` through [`gate::read_flags`]; a bad
+    /// flag or value exits 2 with a one-line message.
     pub fn parse() -> RunArgs {
         let mut out = RunArgs::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let need = |i: usize| {
-                args.get(i + 1).unwrap_or_else(|| {
-                    eprintln!("missing value for {}", args[i]);
-                    std::process::exit(2);
-                })
-            };
-            match args[i].as_str() {
-                "--scale" => {
-                    out.scale = need(i).parse().expect("--scale takes a float");
-                    i += 2;
-                }
-                "--seed" => {
-                    out.seed = need(i).parse().expect("--seed takes an integer");
-                    i += 2;
-                }
-                "--dvi" => {
-                    out.dvi_mode = match need(i).as_str() {
-                        "ilp" => DviMode::Ilp,
-                        "heur" | "heuristic" => DviMode::Heuristic,
-                        other => {
-                            eprintln!("unknown --dvi mode {other}");
-                            std::process::exit(2);
+        gate::read_flags(
+            "[--scale f] [--seed n] [--dvi ilp|heur] [--ilp-limit secs] \
+             [--time-budget secs] [--circuits a,b,...] [--report path]",
+            |flag, val| {
+                match flag {
+                    "--scale" => out.scale = gate::value(flag, val, "a float"),
+                    "--seed" => out.seed = gate::value(flag, val, "an integer"),
+                    "--dvi" => {
+                        out.dvi_mode = match val {
+                            "ilp" => DviMode::Ilp,
+                            "heur" | "heuristic" => DviMode::Heuristic,
+                            _ => gate::usage_error(&format!("unknown --dvi mode {val}")),
                         }
-                    };
-                    i += 2;
+                    }
+                    "--ilp-limit" => {
+                        out.ilp_limit = Duration::from_secs(gate::value(flag, val, "seconds"))
+                    }
+                    "--time-budget" => {
+                        out.time_budget =
+                            Some(Duration::from_secs_f64(gate::value(flag, val, "seconds")))
+                    }
+                    "--circuits" => out.circuits = Some(gate::list(val)),
+                    "--report" => out.report = Some(val.to_string()),
+                    _ => return false,
                 }
-                "--ilp-limit" => {
-                    out.ilp_limit =
-                        Duration::from_secs(need(i).parse().expect("--ilp-limit takes seconds"));
-                    i += 2;
-                }
-                "--time-budget" => {
-                    out.time_budget = Some(Duration::from_secs_f64(
-                        need(i).parse().expect("--time-budget takes seconds"),
-                    ));
-                    i += 2;
-                }
-                "--circuits" => {
-                    out.circuits = Some(need(i).split(',').map(|s| s.trim().to_string()).collect());
-                    i += 2;
-                }
-                "--report" => {
-                    out.report = Some(need(i).clone());
-                    i += 2;
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--scale f] [--seed n] [--dvi ilp|heur] \
-                         [--ilp-limit secs] [--time-budget secs] \
-                         [--circuits a,b,...] [--report path]"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown argument {other} (try --help)");
-                    std::process::exit(2);
-                }
-            }
-        }
+                true
+            },
+        );
         out
     }
 
-    /// The benchmark suite selected by these arguments.
+    /// The benchmark suite selected by these arguments; a filter that
+    /// matches no circuit is a usage error (exit 2).
     pub fn suite(&self) -> Vec<BenchSpec> {
-        BenchSpec::paper_suite()
+        let suite: Vec<BenchSpec> = BenchSpec::paper_suite()
             .into_iter()
             .filter(|s| {
                 self.circuits
@@ -144,7 +113,12 @@ impl RunArgs {
                     .is_none_or(|list| list.iter().any(|n| n == s.name))
             })
             .map(|s| s.scaled(self.scale))
-            .collect()
+            .collect();
+        if suite.is_empty() {
+            let filter = self.circuits.as_deref().unwrap_or_default().join(",");
+            gate::usage_error(&format!("no circuits matched {filter:?} (try --help)"));
+        }
+        suite
     }
 }
 

@@ -15,7 +15,7 @@
 //!
 //! The first frame's payload is the header line `sadpd-journal v1`;
 //! every later payload is one JSON record in the service's own wire
-//! grammar ([`crate::wire::parse`]):
+//! grammar ([`sadp_trace::json::parse`]):
 //!
 //! * `{"rec":"accept","job":N,"run_id":"<hex16>","request":{…}}` —
 //!   the canonical wire text of the request
@@ -67,10 +67,11 @@ use std::path::{Path, PathBuf};
 
 use sadp_grid::RouteError;
 use sadp_router::Termination;
+use sadp_trace::json::{self, Value};
 use sadp_trace::{fnv1a, JsonReport, RouteObserver};
 
 use crate::job::{JobId, JobOutcome, RouteRequest, RouteResponse, RouteSummary};
-use crate::wire::{self, Value};
+use crate::wire;
 
 /// The header payload of the first journal frame; the `v1` suffix is
 /// the format version and a mismatch is refused at open.
@@ -458,7 +459,7 @@ impl Scan {
             }
             return Err(durability("not a job journal (bad header record)"));
         }
-        let v = wire::parse(payload)
+        let v = json::parse(payload)
             .map_err(|e| durability(format!("unparsable journal record: {e}")))?;
         match v.get("rec").and_then(Value::as_str) {
             Some("accept") => {
@@ -556,45 +557,9 @@ fn encode_complete(resp: &RouteResponse) -> String {
         resp.run_id,
         resp.outcome.name()
     );
-    match &resp.outcome {
-        JobOutcome::Completed { summary, .. } => {
-            let _ = write!(
-                out,
-                concat!(
-                    r#","fingerprint":"{:016x}","routed_all":{},"congestion_free":{},"#,
-                    r#""fvp_free":{},"colorable":{},"termination":"{}","wirelength":{},"#,
-                    r#""vias":{},"nets":{}"#
-                ),
-                summary.fingerprint,
-                summary.routed_all,
-                summary.congestion_free,
-                summary.fvp_free,
-                summary.colorable,
-                summary.termination,
-                summary.wirelength,
-                summary.vias,
-                summary.nets,
-            );
-        }
-        JobOutcome::Failed { kind, error } => {
-            let _ = write!(
-                out,
-                r#","kind":"{}","error":"{}""#,
-                wire::escape(kind),
-                wire::escape(error)
-            );
-        }
-        JobOutcome::Cancelled => {}
-    }
+    wire::encode_outcome(&mut out, &resp.outcome);
     let _ = write!(out, r#","dropped_events":{}}}"#, resp.dropped_events);
     out
-}
-
-fn as_bool(v: &Value) -> Option<bool> {
-    match v {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
 }
 
 fn decode_outcome(v: &Value, run_id: u64) -> Result<(JobOutcome, usize), RouteError> {
@@ -621,7 +586,7 @@ fn decode_outcome(v: &Value, run_id: u64) -> Result<(JobOutcome, usize), RouteEr
             };
             let field_bool = |name: &str| {
                 v.get(name)
-                    .and_then(as_bool)
+                    .and_then(Value::as_bool)
                     .ok_or_else(|| durability(format!("completion record missing {name}")))
             };
             let fingerprint = v

@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 
 use sadp_grid::{RouteError, SadpKind};
 use sadp_router::{RouteBudget, RoutingSession};
+use sadp_service::wire::{self, Value};
 use sadp_service::{
     journal, Arm, DurabilityConfig, JobId, JobOutcome, JobSource, Journal, Priority, RouteRequest,
     RouteResponse, RouteSummary, Service, ServiceConfig, SubmitError,
@@ -449,21 +450,11 @@ impl Daemon {
     }
 }
 
-fn field<'a>(line: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\":\"");
-    let at = line
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {line}"))
-        + pat.len();
-    let end = line[at..].find('"').expect("closing quote") + at;
-    &line[at..end]
-}
-
 const SLOW_SUBMIT: &str =
     r#"{"op":"submit","request":{"source":{"spec":"ecc","scale":0.02,"seed":7},"arm":"full"}}"#;
 
 #[test]
-fn sigkilled_daemon_recovers_job_with_identical_fingerprint() {
+fn sigkilled_daemon_recovers_job_with_identical_fingerprint() -> Result<(), String> {
     let _g = lock();
     // Clean reference run in its own journal dir.
     let clean_dir = tmp("kill9-clean");
@@ -471,7 +462,8 @@ fn sigkilled_daemon_recovers_job_with_identical_fingerprint() {
     clean.send(SLOW_SUBMIT);
     clean.send(r#"{"op":"wait","job":1}"#);
     let _ack = clean.recv();
-    let reference = field(&clean.recv(), "fingerprint").to_string();
+    let clean_wait = wire::parse(&clean.recv())?;
+    let reference = clean_wait.get("fingerprint").ok_or("no fingerprint")?;
     clean.send(r#"{"op":"shutdown"}"#);
     let (ok, _) = clean.finish();
     assert!(ok);
@@ -506,9 +498,13 @@ fn sigkilled_daemon_recovers_job_with_identical_fingerprint() {
     // the exact same fingerprint.
     let mut revived = spawn_sadpd(&["--journal", dir.to_str().unwrap(), "--workers", "1"]);
     revived.send(r#"{"op":"wait","job":1}"#);
-    let resp = revived.recv();
-    assert_eq!(field(&resp, "outcome"), "completed", "{resp}");
-    assert_eq!(field(&resp, "fingerprint"), reference, "{resp}");
+    let resp = wire::parse(&revived.recv())?;
+    assert_eq!(
+        resp.get("outcome").and_then(Value::as_str),
+        Some("completed"),
+        "{resp:?}"
+    );
+    assert_eq!(resp.get("fingerprint"), Some(reference), "{resp:?}");
     revived.send(r#"{"op":"shutdown"}"#);
     let (ok, stderr) = revived.finish();
     assert!(ok, "{stderr}");
@@ -518,6 +514,7 @@ fn sigkilled_daemon_recovers_job_with_identical_fingerprint() {
     );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&clean_dir);
+    Ok(())
 }
 
 #[cfg(unix)]

@@ -29,12 +29,19 @@
 //!   dependencies. Reports produced by parallel `sadp-exec` tasks
 //!   merge deterministically in task-index order via
 //!   [`merge_reports`].
+//! * [`json`] — the workspace's one JSON parser and string escaper,
+//!   shared by this crate's writers, the service wire protocol and
+//!   journal, and the bench gates.
 
 #![warn(missing_docs)]
+
+pub mod json;
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
+
+use json::escape;
 
 /// The phase-scoped spans of the routing flow (paper Fig. 8 plus the
 /// post-routing passes).
@@ -639,22 +646,6 @@ pub fn merge_reports(title: &str, reports: &[JsonReport]) -> String {
     out
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -813,6 +804,41 @@ mod tests {
         let i1 = doc.find("0000000000000001").expect("id 1 present");
         let i2 = doc.find("0000000000000002").expect("id 2 present");
         assert!(i1 < i2, "task order preserved");
+    }
+
+    #[test]
+    fn report_json_parses_back() {
+        use json::Value;
+        let s = |v: &Value, k: &str| v.get(k).and_then(Value::as_str).map(String::from);
+        let phases = |run: &Value| -> Vec<String> {
+            let list = run.get("phases").and_then(Value::as_array);
+            list.expect("phase list")
+                .iter()
+                .filter_map(|p| s(p, "phase"))
+                .collect()
+        };
+        let mut rep = JsonReport::with_run_id("ecc/\"both\"", 0xab);
+        drive(&mut rep);
+        rep.set_metric("wirelength", 1234);
+        rep.set_note("solver", "heur\nistic");
+        let one = json::parse(&rep.to_json()).expect("to_json output parses");
+        assert_eq!(s(&one, "run").as_deref(), Some("ecc/\"both\""));
+        assert_eq!(s(&one, "run_id").as_deref(), Some("00000000000000ab"));
+        assert_eq!(phases(&one), ["initial_routing", "congestion_negotiation"]);
+        let wl = one
+            .get("metrics")
+            .and_then(|m| m.get("wirelength")?.as_u64());
+        assert_eq!(wl, Some(1234));
+        let note = one.get("notes").and_then(|n| s(n, "solver"));
+        assert_eq!(note.as_deref(), Some("heur\nistic"));
+
+        let merged = merge_reports("m", &[rep, JsonReport::new("b")]);
+        let doc = json::parse(&merged).expect("merge_reports output parses");
+        assert_eq!(doc.get("runs").and_then(Value::as_u64), Some(2));
+        let results = doc.get("results").and_then(Value::as_array).unwrap();
+        assert_eq!(results[0], one);
+        assert_eq!(s(&results[1], "run").as_deref(), Some("b"));
+        assert!(phases(&results[1]).is_empty());
     }
 
     #[test]
