@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use benchgen::BenchSpec;
-use dvi::{solve_heuristic, solve_ilp_lazy, DviParams, DviProblem, LazyIlpOptions};
+use dvi::{solve_exact, solve_heuristic, DviParams, DviProblem};
 use sadp_grid::SadpKind;
 use sadp_router::dijkstra::{route_net, route_net_with};
 use sadp_router::search::route_connection_reference;
@@ -100,7 +100,7 @@ fn bench_dvi(c: &mut Criterion) {
         b.iter(|| solve_heuristic(black_box(&problem), &DviParams::default()))
     });
     c.bench_function("dvi/lazy_ilp_small_circuit", |b| {
-        b.iter(|| solve_ilp_lazy(black_box(&problem), &LazyIlpOptions::default()))
+        b.iter(|| solve_exact(black_box(&problem), None, &mut sadp_trace::NoopObserver))
     });
 }
 

@@ -4,8 +4,7 @@
 //!    heuristic with each DP term (δ / λ / μ) disabled in turn.
 //! 2. **Cost-assignment weight α** (Algorithm 1): dead-via count after
 //!    routing with different block-DVIC weights.
-//! 3. **1-swap improvement** (our extension): Algorithm 3 vs the
-//!    swap-improved variant vs the exact lazy-cut ILP.
+//! 3. **Heuristic gap**: Algorithm 3 vs the exact lazy-cut ILP.
 //!
 //! ```text
 //! cargo run --release -p bench-suite --bin ablation -- \
@@ -14,10 +13,7 @@
 
 use bench_suite::table::{num, text};
 use bench_suite::{ArmInput, RunArgs, TableBuilder};
-use dvi::{
-    solve_heuristic, solve_heuristic_improved, solve_ilp_lazy, DviParams, DviProblem,
-    LazyIlpOptions,
-};
+use dvi::{solve_exact, solve_heuristic, DviParams, DviProblem};
 use sadp_grid::SadpKind;
 use sadp_router::{CostParams, RouterConfig, RoutingSession};
 use sadp_trace::NoopObserver;
@@ -179,32 +175,30 @@ fn main() {
     print!("{}", t.render());
     println!();
 
-    // Part 3: heuristic vs swap-improved heuristic vs exact ILP.
+    // Part 3: heuristic vs exact ILP.
     let mut t = TableBuilder::new(
         format!(
-            "Ablation C: Algorithm 3 vs 1-swap improvement vs exact ILP (scale {}, seed {})",
+            "Ablation C: Algorithm 3 vs exact ILP (scale {}, seed {})",
             args.scale, args.seed
         ),
         vec![
             "CKT".into(),
             "#DV|heur".into(),
-            "#DV|heur+swap".into(),
             "#DV|ILP".into(),
             "CPU(s)|heur".into(),
-            "CPU(s)|heur+swap".into(),
             "CPU(s)|ILP".into(),
         ],
-        vec![0, 0, 0, 0, 3, 3, 3],
+        vec![0, 0, 0, 3, 3],
     );
-    for c in 1..=3 {
-        t.normalize(c, 3);
+    for c in 1..=2 {
+        t.normalize(c, 2);
     }
-    for c in 4..=6 {
-        t.normalize(c, 4);
+    for c in 3..=4 {
+        t.normalize(c, 3);
     }
     // One task per circuit; the ILP dominates the runtime, so circuits
     // make natural work units.
-    let rows: Vec<([f64; 6], String)> = sadp_exec::map(&inputs, |input| {
+    let rows: Vec<([f64; 4], String)> = sadp_exec::map(&inputs, |input| {
         let out = RoutingSession::new(
             &input.grid,
             &input.netlist,
@@ -213,25 +207,18 @@ fn main() {
         .finish(&mut NoopObserver);
         let problem = DviProblem::build(SadpKind::Sim, &out.solution);
         let h = solve_heuristic(&problem, &DviParams::default());
-        let hi = solve_heuristic_improved(&problem, &DviParams::default());
-        let (ilp, _) = solve_ilp_lazy(
-            &problem,
-            &LazyIlpOptions {
-                time_limit: Some(args.ilp_limit),
-                ..LazyIlpOptions::default()
-            },
-        );
+        let ilp = solve_exact(&problem, Some(args.ilp_limit), &mut NoopObserver)
+            .expect("the heuristic fallback of the exact solver succeeds")
+            .outcome;
         let log = format!(
-            "  {}: heur={} heur+swap={} ilp={}",
-            input.name, h.dead_via_count, hi.dead_via_count, ilp.dead_via_count
+            "  {}: heur={} ilp={}",
+            input.name, h.dead_via_count, ilp.dead_via_count
         );
         (
             [
                 h.dead_via_count as f64,
-                hi.dead_via_count as f64,
                 ilp.dead_via_count as f64,
                 h.runtime.as_secs_f64(),
-                hi.runtime.as_secs_f64(),
                 ilp.runtime.as_secs_f64(),
             ],
             log,

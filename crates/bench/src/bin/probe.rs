@@ -2,7 +2,7 @@
 //! for sizing experiment campaigns; not part of the table suite).
 
 use benchgen::BenchSpec;
-use dvi::{solve_heuristic, solve_ilp_lazy, DviParams, DviProblem, LazyIlpOptions};
+use dvi::{solve_exact, solve_heuristic, DviParams, DviProblem};
 use sadp_grid::SadpKind;
 use sadp_router::{RouterConfig, RoutingSession};
 
@@ -52,15 +52,15 @@ fn main() {
         "heur: dead={} uv={} in {:.1?}",
         h.dead_via_count, h.uncolorable_count, h.runtime
     );
-    let (l, st) = solve_ilp_lazy(
+    let exact = solve_exact(
         &problem,
-        &LazyIlpOptions {
-            time_limit: Some(std::time::Duration::from_secs(900)),
-            ..Default::default()
-        },
-    );
+        Some(std::time::Duration::from_secs(900)),
+        &mut sadp_trace::NoopObserver,
+    )
+    .expect("the heuristic fallback of the exact solver succeeds");
+    let l = &exact.outcome;
     println!(
         "lazy: dead={} uv={} in {:.1?} optimal={}",
-        l.dead_via_count, l.uncolorable_count, l.runtime, st.proven_optimal
+        l.dead_via_count, l.uncolorable_count, l.runtime, exact.stats.proven_optimal
     );
 }

@@ -3,9 +3,7 @@
 use std::time::Duration;
 
 use benchgen::BenchSpec;
-use dvi::{
-    solve_heuristic_observed, solve_ilp_lazy_observed, DviParams, DviProblem, LazyIlpOptions,
-};
+use dvi::{solve_exact, solve_heuristic_observed, DviParams, DviProblem};
 use sadp_grid::{Netlist, RoutingGrid, SadpKind};
 use sadp_router::{RouteBudget, RouterConfig, RoutingSession};
 use sadp_trace::{merge_reports, JsonReport, NoopObserver, RouteObserver};
@@ -15,7 +13,8 @@ use crate::gate;
 /// Which solver computes the post-routing TPL-aware DVI metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DviMode {
-    /// The literal C1–C8 ILP (optimality reference; slow).
+    /// The exact lazy-cut ILP (`dvi::solve_exact`, optimality
+    /// reference).
     Ilp,
     /// Algorithm 3 (fast).
     Heuristic,
@@ -139,7 +138,7 @@ pub struct ArmMetrics {
     pub dvi_cpu: f64,
     /// 100% routability achieved.
     pub routed: bool,
-    /// [`sadp_service::outcome_fingerprint`] of the routing outcome:
+    /// [`sadp_router::outcome_fingerprint`] of the routing outcome:
     /// the full solution plus its quality flags and headline stats.
     pub fingerprint: u64,
 }
@@ -199,14 +198,9 @@ pub fn run_arm_observed(
             )
         }
         DviMode::Ilp => {
-            let (o, _stats) = solve_ilp_lazy_observed(
-                &problem,
-                &LazyIlpOptions {
-                    time_limit: Some(args.ilp_limit),
-                    ..LazyIlpOptions::default()
-                },
-                obs,
-            );
+            let o = solve_exact(&problem, Some(args.ilp_limit), obs)
+                .expect("the heuristic fallback of the exact solver succeeds")
+                .outcome;
             (
                 o.dead_via_count,
                 o.uncolorable_count,
@@ -222,7 +216,7 @@ pub fn run_arm_observed(
         uv,
         dvi_cpu,
         routed: outcome.routed_all && outcome.congestion_free,
-        fingerprint: sadp_service::outcome_fingerprint(&outcome),
+        fingerprint: sadp_router::outcome_fingerprint(&outcome),
     }
 }
 
@@ -378,14 +372,9 @@ pub fn ilp_vs_heuristic_table(kind: SadpKind, title: &str) {
         assert!(outcome.routed_all, "{}: unroutable", input.name);
         let problem = DviProblem::build(kind, &outcome.solution);
         let heur = solve_heuristic_observed(&problem, &DviParams::default(), &mut NoopObserver);
-        let (ilp, stats) = solve_ilp_lazy_observed(
-            &problem,
-            &LazyIlpOptions {
-                time_limit: Some(args.ilp_limit),
-                ..LazyIlpOptions::default()
-            },
-            &mut NoopObserver,
-        );
+        let exact = solve_exact(&problem, Some(args.ilp_limit), &mut NoopObserver)
+            .expect("the heuristic fallback of the exact solver succeeds");
+        let (ilp, stats) = (exact.outcome, exact.stats);
         let gap = (stats.best_bound - ilp.inserted_count() as i64).max(0);
         let log = format!(
             "  [{}] {}: ILP dv={} uv={} cpu={:.1}s (optimal={}, gap {}, rounds {}, cuts {}) |              heur dv={} uv={} cpu={:.3}s",

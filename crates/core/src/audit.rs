@@ -3,7 +3,6 @@
 
 use sadp_decomp::{audit_solution, check_mask_set, decompose_layer, DrcRules};
 use sadp_grid::{Netlist, RoutingSolution, SadpKind, WireEdge};
-use sadp_trace::{Counter, Phase, RouteObserver};
 use tpl_decomp::{welsh_powell, DecompGraph, FvpIndex};
 
 use crate::state::RouterState;
@@ -74,35 +73,6 @@ pub fn full_audit(kind: SadpKind, solution: &RoutingSolution, netlist: &Netlist)
         fvp_windows,
         greedy_uncolored,
     }
-}
-
-/// [`full_audit`] wrapped in a [`Phase::Audit`] span: the observer
-/// receives the wall clock of the audit plus its headline counts
-/// ([`Counter::AuditShorts`], [`Counter::AuditFvpWindows`],
-/// [`Counter::UncolorableVias`], [`Counter::FailedNets`] for
-/// disconnected nets).
-pub fn full_audit_observed(
-    kind: SadpKind,
-    solution: &RoutingSolution,
-    netlist: &Netlist,
-    obs: &mut impl RouteObserver,
-) -> FullAudit {
-    obs.phase_start(Phase::Audit);
-    let audit = full_audit(kind, solution, netlist);
-    obs.counter(Phase::Audit, Counter::AuditShorts, audit.shorts as i64);
-    obs.counter(
-        Phase::Audit,
-        Counter::AuditFvpWindows,
-        audit.fvp_windows as i64,
-    );
-    obs.counter(
-        Phase::Audit,
-        Counter::UncolorableVias,
-        audit.greedy_uncolored as i64,
-    );
-    obs.counter(Phase::Audit, Counter::FailedNets, audit.disconnected as i64);
-    obs.phase_end(Phase::Audit);
-    audit
 }
 
 /// Synthesizes the SADP masks of every routed metal layer and runs the

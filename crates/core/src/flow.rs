@@ -24,16 +24,16 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use sadp_grid::{
-    DeltaOp, LayoutDelta, Net, NetId, Netlist, Pin, RouteError, RoutingGrid, RoutingSolution,
-    SadpKind, SolutionStats,
+    write_solution, DeltaOp, LayoutDelta, Net, NetId, Netlist, Pin, RouteError, RoutingGrid,
+    RoutingSolution, SadpKind, SolutionStats,
 };
-use sadp_trace::{Counter, JsonReport, Phase, RouteObserver};
+use sadp_trace::{fnv1a, Counter, JsonReport, Phase, RouteObserver};
 
 use crate::budget::{ActiveBudget, RouteBudget, Termination};
 use crate::costs::CostParams;
 use crate::rnr::{
-    ensure_colorable_budgeted, initial_routing_budgeted, negotiate_congestion_budgeted,
-    tpl_violation_removal_budgeted, CongestionWork, InitialWork, PinIndex, RnrStats, TplWork,
+    ensure_colorable, initial_routing, negotiate_congestion, tpl_violation_removal, CongestionWork,
+    InitialWork, PinIndex, RnrStats, TplWork,
 };
 use crate::search::SearchScratch;
 use crate::shard;
@@ -341,6 +341,28 @@ impl RoutingOutcome {
     }
 }
 
+/// The deterministic fingerprint of a routing outcome: FNV-1a over the
+/// solution text, the four quality flags, the termination tag, and the
+/// wirelength/via totals. Wall-clock fields are excluded, so reruns of
+/// the same request — on any pool size, through any entry point —
+/// fingerprint identically.
+pub fn outcome_fingerprint(out: &RoutingOutcome) -> u64 {
+    let mut text = write_solution(&out.solution);
+    use std::fmt::Write as _;
+    let _ = write!(
+        text,
+        "|{}{}{}{}|{}|{}:{}",
+        out.routed_all as u8,
+        out.congestion_free as u8,
+        out.fvp_free as u8,
+        out.colorable as u8,
+        out.termination,
+        out.stats.wirelength,
+        out.stats.vias,
+    );
+    fnv1a(text.as_bytes())
+}
+
 /// Extracts a printable message from a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -617,7 +639,7 @@ impl<'a> RoutingSession<'a> {
                 }
             }
         } else {
-            initial_routing_budgeted(
+            initial_routing(
                 &mut self.state,
                 self.netlist,
                 limits,
@@ -671,7 +693,7 @@ impl<'a> RoutingSession<'a> {
                 }
             }
         } else {
-            negotiate_congestion_budgeted(
+            negotiate_congestion(
                 &mut self.state,
                 self.netlist,
                 &self.pins,
@@ -709,7 +731,7 @@ impl<'a> RoutingSession<'a> {
         let limits = self.budget.limits(config_cap);
         obs.phase_start(Phase::TplViolationRemoval);
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
-        let (clean, stats) = tpl_violation_removal_budgeted(
+        let (clean, stats) = tpl_violation_removal(
             &mut self.state,
             self.netlist,
             &self.pins,
@@ -740,7 +762,7 @@ impl<'a> RoutingSession<'a> {
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
         if self.config.consider_tpl {
             let limits = self.budget.limits(usize::MAX);
-            match ensure_colorable_budgeted(
+            match ensure_colorable(
                 &mut self.state,
                 self.netlist,
                 self.config.coloring_attempts,
@@ -855,7 +877,7 @@ impl<'a> RoutingSession<'a> {
     /// # Errors
     ///
     /// [`RouteError::TaskPanicked`] when a worker task of the coloring
-    /// fan-out panicked (recorded during [`ensure_colorable`]
+    /// fan-out panicked (recorded during
     /// [`RoutingSession::ensure_colorable`]) or when any phase
     /// panicked while finishing.
     pub fn try_finish(self, obs: &mut impl RouteObserver) -> Result<RoutingOutcome, RouteError> {

@@ -52,11 +52,14 @@ pub mod search;
 mod shard;
 pub mod state;
 
-pub use audit::{full_audit, full_audit_observed, mask_audit, FullAudit};
+pub use audit::{full_audit, mask_audit, FullAudit};
 pub use budget::{PhaseLimits, RouteBudget, Termination};
 pub use checkpoint::CHECKPOINT_HEADER;
 pub use costs::CostParams;
 pub use eco::EcoPlan;
-pub use flow::{ConfigError, RouterConfig, RouterConfigBuilder, RoutingOutcome, RoutingSession};
+pub use flow::{
+    outcome_fingerprint, ConfigError, RouterConfig, RouterConfigBuilder, RoutingOutcome,
+    RoutingSession,
+};
 pub use sadp_grid::RouteError;
 pub use search::SearchScratch;

@@ -2,20 +2,18 @@
 //! the via-layer TPL violation removal of Algorithm 2, plus the final
 //! 3-colorability check with R&R fallback.
 //!
-//! Each phase comes in two flavors:
-//!
-//! * the original entry points ([`initial_routing`],
-//!   [`negotiate_congestion`], [`tpl_violation_removal`],
-//!   [`ensure_colorable`]) run one activation with an iteration cap
-//!   and fresh work state — the pre-budget behavior;
-//! * the `_budgeted` variants additionally take [`PhaseLimits`] and a
-//!   persistent work struct ([`InitialWork`] / [`CongestionWork`] /
-//!   [`TplWork`]), check the budget **between** iterations (before
-//!   popping the next violation, so nothing is lost), and leave the
-//!   work struct in a state a later activation resumes from — this is
-//!   what makes `RoutingSession` interruptible: a run stopped between
-//!   iterations and resumed with a fresh budget walks the exact same
-//!   iteration sequence as an uninterrupted run.
+//! Each phase ([`initial_routing`], [`negotiate_congestion`],
+//! [`tpl_violation_removal`], [`ensure_colorable`]) takes
+//! [`PhaseLimits`] and a persistent work struct ([`InitialWork`] /
+//! [`CongestionWork`] / [`TplWork`] / an attempt count), checks the
+//! limits **between** iterations (before popping the next violation,
+//! so nothing is lost), and leaves the work struct in a state a later
+//! activation resumes from. This is what makes `RoutingSession`
+//! interruptible: a run stopped between iterations and resumed with a
+//! fresh budget walks the exact same iteration sequence as an
+//! uninterrupted run. A one-shot run passes
+//! [`PhaseLimits::unlimited`] (or [`PhaseLimits::iters_only`]) and a
+//! fresh work struct.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
@@ -234,33 +232,11 @@ pub(crate) fn initial_step(
 }
 
 /// Routes every net once, in increasing-HPWL order, sharing one
-/// search scratch across all nets. Returns the nets that could not be
-/// routed at all (normally empty).
-pub fn initial_routing(
-    state: &mut RouterState,
-    netlist: &Netlist,
-    scratch: &mut SearchScratch,
-    obs: &mut impl RouteObserver,
-) -> Vec<NetId> {
-    let mut work = InitialWork::default();
-    let mut failed = Vec::new();
-    initial_routing_budgeted(
-        state,
-        netlist,
-        PhaseLimits::unlimited(),
-        &mut work,
-        &mut failed,
-        scratch,
-        obs,
-    );
-    failed
-}
-
-/// Budget-aware, resumable [`initial_routing`]: one iteration = one
-/// net. Unroutable nets are appended to `failed`. Returns how the
+/// search scratch across all nets: one iteration = one net.
+/// Unroutable nets are appended to `failed`. Returns how the
 /// activation stopped; on a budget stop, a later call continues with
 /// the next net in the same order.
-pub fn initial_routing_budgeted(
+pub fn initial_routing(
     state: &mut RouterState,
     netlist: &Netlist,
     limits: PhaseLimits,
@@ -446,33 +422,13 @@ pub(crate) fn requeue_after_reroute(
 }
 
 /// Negotiated-congestion R&R: resolves shared routing resources until
-/// the solution is overlap-free or the iteration cap is hit.
+/// the solution is overlap-free or the limits stop it.
 ///
-/// Returns `(congestion_free, stats)`.
-pub fn negotiate_congestion(
-    state: &mut RouterState,
-    netlist: &Netlist,
-    pins: &PinIndex,
-    max_iters: usize,
-    scratch: &mut SearchScratch,
-    obs: &mut impl RouteObserver,
-) -> (bool, RnrStats) {
-    negotiate_congestion_budgeted(
-        state,
-        netlist,
-        pins,
-        PhaseLimits::iters_only(max_iters),
-        &mut CongestionWork::default(),
-        scratch,
-        obs,
-    )
-}
-
-/// Budget-aware, resumable [`negotiate_congestion`]. The queue is
+/// Returns `(congestion_free, stats)`. The queue is
 /// (re)seeded from the congested points only when `work` holds no
 /// pending violations — a non-empty queue means a previous activation
 /// was interrupted and is continued verbatim.
-pub fn negotiate_congestion_budgeted(
+pub fn negotiate_congestion(
     state: &mut RouterState,
     netlist: &Netlist,
     pins: &PinIndex,
@@ -554,30 +510,10 @@ impl TplWork {
 /// until all FVPs (and any congestion) are gone.
 ///
 /// Returns `(clean, stats)` where clean means congestion-free and
-/// FVP-free.
+/// FVP-free. Blocked-via enforcement is enabled on the first
+/// activation only; the heap is (re)seeded from the current violations
+/// only when empty.
 pub fn tpl_violation_removal(
-    state: &mut RouterState,
-    netlist: &Netlist,
-    pins: &PinIndex,
-    max_iters: usize,
-    scratch: &mut SearchScratch,
-    obs: &mut impl RouteObserver,
-) -> (bool, RnrStats) {
-    tpl_violation_removal_budgeted(
-        state,
-        netlist,
-        pins,
-        PhaseLimits::iters_only(max_iters),
-        &mut TplWork::default(),
-        scratch,
-        obs,
-    )
-}
-
-/// Budget-aware, resumable [`tpl_violation_removal`]. Blocked-via
-/// enforcement is enabled on the first activation only; the heap is
-/// (re)seeded from the current violations only when empty.
-pub fn tpl_violation_removal_budgeted(
     state: &mut RouterState,
     netlist: &Netlist,
     pins: &PinIndex,
@@ -739,43 +675,15 @@ pub fn tpl_violation_removal_budgeted(
 /// (Welsh–Powell first, exact search on small suspicious components),
 /// ripping and rerouting nets with uncolorable vias when needed.
 ///
-/// Returns `true` when every via layer is 3-colorable.
-///
-/// # Panics
-///
-/// Re-raises a worker-task panic from the per-layer coloring fan-out;
-/// use [`ensure_colorable_budgeted`] for the contained variant.
-pub fn ensure_colorable(
-    state: &mut RouterState,
-    netlist: &Netlist,
-    max_attempts: usize,
-    scratch: &mut SearchScratch,
-    obs: &mut impl RouteObserver,
-) -> bool {
-    let mut attempts_done = 0usize;
-    match ensure_colorable_budgeted(
-        state,
-        netlist,
-        max_attempts,
-        PhaseLimits::unlimited(),
-        &mut attempts_done,
-        scratch,
-        obs,
-    ) {
-        Ok((colorable, _)) => colorable,
-        Err(p) => panic!("{p}"),
-    }
-}
-
-/// Budget-aware, resumable, panic-contained [`ensure_colorable`].
-///
-/// `attempts_done` persists across activations: the configured
-/// attempt count is spent once per session, not per activation. The
+/// Returns whether every via layer is 3-colorable, and how the
+/// activation stopped. `attempts_done` persists across activations:
+/// the configured attempt count is spent once per session, not per
+/// activation. The
 /// budget is checked between attempts; exhausting it returns a
 /// non-converged [`Termination`] so a later activation continues with
 /// the remaining attempts. A worker panic in the per-layer coloring
 /// fan-out is contained and returned as [`sadp_exec::TaskPanicked`].
-pub fn ensure_colorable_budgeted(
+pub fn ensure_colorable(
     state: &mut RouterState,
     netlist: &Netlist,
     max_attempts: usize,
@@ -934,7 +842,16 @@ mod tests {
             24,
             24,
         );
-        let failed = initial_routing(&mut st, &nl, &mut SearchScratch::new(), &mut NoopObserver);
+        let mut failed = Vec::new();
+        initial_routing(
+            &mut st,
+            &nl,
+            PhaseLimits::unlimited(),
+            &mut InitialWork::default(),
+            &mut failed,
+            &mut SearchScratch::new(),
+            &mut NoopObserver,
+        );
         assert!(failed.is_empty());
         assert_eq!(st.solution.routed_count(), 3);
         assert!(st.solution.connectivity_errors(&nl).is_empty());
@@ -957,7 +874,7 @@ mod tests {
         // Two nets per activation: 5 nets take three activations.
         let mut activations = 0;
         loop {
-            let t = initial_routing_budgeted(
+            let t = initial_routing(
                 &mut st,
                 &nl,
                 PhaseLimits::iters_only(2),
@@ -979,7 +896,15 @@ mod tests {
 
         // The resumed run routes the same nets as an uninterrupted one.
         let (nl2, mut st2) = build(nets, 24, 24);
-        let _ = initial_routing(&mut st2, &nl2, &mut SearchScratch::new(), &mut NoopObserver);
+        initial_routing(
+            &mut st2,
+            &nl2,
+            PhaseLimits::unlimited(),
+            &mut InitialWork::default(),
+            &mut Vec::new(),
+            &mut SearchScratch::new(),
+            &mut NoopObserver,
+        );
         for (id, _) in nl2.iter() {
             assert_eq!(st.solution.route(id), st2.solution.route(id), "{id:?}");
         }
@@ -998,10 +923,26 @@ mod tests {
         let (nl, mut st) = build(nets, 24, 24);
         let pins = PinIndex::build(&st.grid, &nl);
         let mut scratch = SearchScratch::new();
-        let failed = initial_routing(&mut st, &nl, &mut scratch, &mut NoopObserver);
+        let mut failed = Vec::new();
+        initial_routing(
+            &mut st,
+            &nl,
+            PhaseLimits::unlimited(),
+            &mut InitialWork::default(),
+            &mut failed,
+            &mut scratch,
+            &mut NoopObserver,
+        );
         assert!(failed.is_empty());
-        let (clean, _stats) =
-            negotiate_congestion(&mut st, &nl, &pins, 10_000, &mut scratch, &mut NoopObserver);
+        let (clean, _stats) = negotiate_congestion(
+            &mut st,
+            &nl,
+            &pins,
+            PhaseLimits::iters_only(10_000),
+            &mut CongestionWork::default(),
+            &mut scratch,
+            &mut NoopObserver,
+        );
         assert!(clean, "congestion not resolved");
         assert!(st.solution.shorts().is_empty());
         assert!(st.solution.connectivity_errors(&nl).is_empty());
@@ -1022,12 +963,35 @@ mod tests {
         let (nl, mut st) = build(nets, 24, 24);
         let pins = PinIndex::build(&st.grid, &nl);
         let mut scratch = SearchScratch::new();
-        let failed = initial_routing(&mut st, &nl, &mut scratch, &mut NoopObserver);
+        let mut failed = Vec::new();
+        initial_routing(
+            &mut st,
+            &nl,
+            PhaseLimits::unlimited(),
+            &mut InitialWork::default(),
+            &mut failed,
+            &mut scratch,
+            &mut NoopObserver,
+        );
         assert!(failed.is_empty());
-        let (_c, _s) =
-            negotiate_congestion(&mut st, &nl, &pins, 10_000, &mut scratch, &mut NoopObserver);
-        let (clean, _stats) =
-            tpl_violation_removal(&mut st, &nl, &pins, 10_000, &mut scratch, &mut NoopObserver);
+        let (_c, _s) = negotiate_congestion(
+            &mut st,
+            &nl,
+            &pins,
+            PhaseLimits::iters_only(10_000),
+            &mut CongestionWork::default(),
+            &mut scratch,
+            &mut NoopObserver,
+        );
+        let (clean, _stats) = tpl_violation_removal(
+            &mut st,
+            &nl,
+            &pins,
+            PhaseLimits::iters_only(10_000),
+            &mut TplWork::default(),
+            &mut scratch,
+            &mut NoopObserver,
+        );
         assert!(clean, "FVPs or congestion remain");
         for vl in 0..st.grid.via_layer_count() {
             assert!(st.fvp[vl as usize].fvp_windows().is_empty());
@@ -1047,16 +1011,43 @@ mod tests {
         );
         let pins = PinIndex::build(&st.grid, &nl);
         let mut scratch = SearchScratch::new();
-        initial_routing(&mut st, &nl, &mut scratch, &mut NoopObserver);
-        negotiate_congestion(&mut st, &nl, &pins, 1000, &mut scratch, &mut NoopObserver);
-        tpl_violation_removal(&mut st, &nl, &pins, 1000, &mut scratch, &mut NoopObserver);
-        assert!(ensure_colorable(
+        initial_routing(
+            &mut st,
+            &nl,
+            PhaseLimits::unlimited(),
+            &mut InitialWork::default(),
+            &mut Vec::new(),
+            &mut scratch,
+            &mut NoopObserver,
+        );
+        negotiate_congestion(
+            &mut st,
+            &nl,
+            &pins,
+            PhaseLimits::iters_only(1000),
+            &mut CongestionWork::default(),
+            &mut scratch,
+            &mut NoopObserver,
+        );
+        tpl_violation_removal(
+            &mut st,
+            &nl,
+            &pins,
+            PhaseLimits::iters_only(1000),
+            &mut TplWork::default(),
+            &mut scratch,
+            &mut NoopObserver,
+        );
+        let colored = ensure_colorable(
             &mut st,
             &nl,
             3,
+            PhaseLimits::unlimited(),
+            &mut 0,
             &mut scratch,
-            &mut NoopObserver
-        ));
+            &mut NoopObserver,
+        );
+        assert!(matches!(colored, Ok((true, _))));
     }
 
     /// An interrupted-and-resumed congestion phase walks the same
@@ -1079,7 +1070,15 @@ mod tests {
             let (nl, mut st) = build(nets.clone(), 24, 24);
             let pins = PinIndex::build(&st.grid, &nl);
             let mut scratch = SearchScratch::new();
-            initial_routing(&mut st, &nl, &mut scratch, &mut NoopObserver);
+            initial_routing(
+                &mut st,
+                &nl,
+                PhaseLimits::unlimited(),
+                &mut InitialWork::default(),
+                &mut Vec::new(),
+                &mut scratch,
+                &mut NoopObserver,
+            );
             // The cost-aware initial pass avoids overlaps on an open
             // grid, so build deterministic congestion by overlaying
             // three nets onto their neighbors' metal (real reroutes can
@@ -1098,7 +1097,7 @@ mod tests {
             let mut work = CongestionWork::default();
             let mut acc = RnrStats::default();
             loop {
-                let (_, stats) = negotiate_congestion_budgeted(
+                let (_, stats) = negotiate_congestion(
                     &mut st,
                     &nl,
                     &pins,

@@ -22,7 +22,7 @@
 //!   the current epoch reads as "unvisited". Buffers are only ever
 //!   grown, never cleared.
 //! * **A\* ordering** — an admissible, consistent lower bound (see
-//!   [`SearchScratch::heuristic`]) turns Dijkstra into A*, which cuts
+//!   `SearchScratch::heuristic`) turns Dijkstra into A*, which cuts
 //!   the expanded-state count sharply on the escalating-window
 //!   retries where the window is much larger than the route.
 //! * **Tree marks** — the partial tree a connection starts from is
@@ -35,7 +35,7 @@
 //!   backwards along the state's own incoming direction.
 //! * **Dial bucket-queue open set** — integer costs and a consistent
 //!   heuristic make the popped f-sequence monotone, so the open set
-//!   is a [`DialQueue`] (O(1) push, near-O(1) pop) instead of a binary
+//!   is a Dial bucket queue (O(1) push, near-O(1) pop) instead of a binary
 //!   heap; its pop order is *identical* to the heap's, so routes are
 //!   byte-for-byte the same under either. The heap survives only as a
 //!   test oracle ([`SearchScratch::with_reference_heap`], behind the

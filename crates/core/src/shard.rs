@@ -265,7 +265,7 @@ fn route_id(p: &Planned) -> NetId {
     }
 }
 
-/// Sharded [`crate::rnr::negotiate_congestion_budgeted`]: identical
+/// Sharded [`crate::rnr::negotiate_congestion`]: identical
 /// output and counters, overlapped searches. Returns the serial pair
 /// plus a contained worker panic, if any (the state is rolled back to
 /// a valid between-iterations serial state before the error is
@@ -494,7 +494,7 @@ pub(crate) fn negotiate_congestion_sharded(
     (Ok(state.congested_points().is_empty()), stats)
 }
 
-/// Sharded [`crate::rnr::initial_routing_budgeted`]: identical output,
+/// Sharded [`crate::rnr::initial_routing`]: identical output,
 /// overlapped first-rung searches. Entries are speculated in HPWL
 /// order; a net needing escalation (or failing outright) spills to the
 /// serial full-ladder path. A worker panic commits nothing and is
@@ -710,9 +710,13 @@ mod tests {
             })
             .collect();
         let (nl, mut serial_st) = build(nets.clone(), 48, 48);
-        let failed = initial_routing(
+        let mut failed = Vec::new();
+        initial_routing(
             &mut serial_st,
             &nl,
+            PhaseLimits::unlimited(),
+            &mut InitialWork::default(),
+            &mut failed,
             &mut SearchScratch::new(),
             &mut NoopObserver,
         );
@@ -778,13 +782,22 @@ mod tests {
         let (nl, mut serial_st) = build(nets.clone(), 24, 24);
         let pins = PinIndex::build(&serial_st.grid, &nl);
         let mut scratch = SearchScratch::new();
-        initial_routing(&mut serial_st, &nl, &mut scratch, &mut NoopObserver);
+        initial_routing(
+            &mut serial_st,
+            &nl,
+            PhaseLimits::unlimited(),
+            &mut InitialWork::default(),
+            &mut Vec::new(),
+            &mut scratch,
+            &mut NoopObserver,
+        );
         congest(&mut serial_st);
         let (clean, serial_stats) = negotiate_congestion(
             &mut serial_st,
             &nl,
             &pins,
-            10_000,
+            PhaseLimits::iters_only(10_000),
+            &mut CongestionWork::default(),
             &mut scratch,
             &mut NoopObserver,
         );
@@ -795,7 +808,15 @@ mod tests {
                 let (nl2, mut st) = build(nets.clone(), 24, 24);
                 let pins2 = PinIndex::build(&st.grid, &nl2);
                 let mut sc = SearchScratch::new();
-                initial_routing(&mut st, &nl2, &mut sc, &mut NoopObserver);
+                initial_routing(
+                    &mut st,
+                    &nl2,
+                    PhaseLimits::unlimited(),
+                    &mut InitialWork::default(),
+                    &mut Vec::new(),
+                    &mut sc,
+                    &mut NoopObserver,
+                );
                 congest(&mut st);
                 let mut work = CongestionWork::default();
                 let mut pool = Vec::new();

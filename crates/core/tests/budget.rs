@@ -6,23 +6,9 @@
 use std::time::Duration;
 
 use benchgen::BenchSpec;
-use sadp_grid::{write_solution, SadpKind};
-use sadp_router::{RouteBudget, RouterConfig, RoutingOutcome, RoutingSession, Termination};
+use sadp_grid::SadpKind;
+use sadp_router::{outcome_fingerprint, RouteBudget, RouterConfig, RoutingSession, Termination};
 use sadp_trace::{JsonReport, NoopObserver, RouteObserver};
-
-fn fingerprint(out: &RoutingOutcome) -> (String, [bool; 4], u64, u64) {
-    (
-        write_solution(&out.solution),
-        [
-            out.routed_all,
-            out.congestion_free,
-            out.fvp_free,
-            out.colorable,
-        ],
-        out.stats.wirelength,
-        out.stats.vias,
-    )
-}
 
 /// Drives every phase as far as the active budget allows.
 fn step(session: &mut RoutingSession, obs: &mut impl RouteObserver) {
@@ -68,7 +54,10 @@ fn iteration_capped_session_resumes_to_the_unbudgeted_fingerprint() {
     let resumed = session.finish(&mut obs);
 
     assert_eq!(resumed.termination, Termination::Converged);
-    assert_eq!(fingerprint(&resumed), fingerprint(&unbudgeted));
+    assert_eq!(
+        outcome_fingerprint(&resumed),
+        outcome_fingerprint(&unbudgeted)
+    );
 }
 
 #[test]

@@ -8,23 +8,11 @@
 use std::time::Duration;
 
 use benchgen::BenchSpec;
-use sadp_grid::{write_solution, Netlist, RouteError, RoutingGrid, SadpKind};
-use sadp_router::{RouteBudget, RouterConfig, RoutingOutcome, RoutingSession, Termination};
+use sadp_grid::{Netlist, RouteError, RoutingGrid, SadpKind};
+use sadp_router::{
+    outcome_fingerprint, RouteBudget, RouterConfig, RoutingOutcome, RoutingSession, Termination,
+};
 use sadp_trace::{NoopObserver, RouteObserver};
-
-fn fingerprint(out: &RoutingOutcome) -> (String, [bool; 4], u64, u64) {
-    (
-        write_solution(&out.solution),
-        [
-            out.routed_all,
-            out.congestion_free,
-            out.fvp_free,
-            out.colorable,
-        ],
-        out.stats.wirelength,
-        out.stats.vias,
-    )
-}
 
 fn step(session: &mut RoutingSession, obs: &mut impl RouteObserver) {
     session.initial_route(obs);
@@ -82,7 +70,10 @@ fn checkpoint_restored_run_matches_uninterrupted_fingerprint() {
         "instance too small to exercise checkpoint stops"
     );
     assert_eq!(restored.termination, Termination::Converged);
-    assert_eq!(fingerprint(&restored), fingerprint(&uninterrupted));
+    assert_eq!(
+        outcome_fingerprint(&restored),
+        outcome_fingerprint(&uninterrupted)
+    );
 }
 
 #[test]
@@ -113,7 +104,7 @@ fn deadline_stopped_session_checkpoints_and_resumes() {
     let out = restored.finish(&mut NoopObserver);
     assert_eq!(out.termination, Termination::Converged);
     let clean = RoutingSession::new(&grid, &netlist, config).finish(&mut NoopObserver);
-    assert_eq!(fingerprint(&out), fingerprint(&clean));
+    assert_eq!(outcome_fingerprint(&out), outcome_fingerprint(&clean));
 }
 
 /// A checkpoint binds to the routing configuration alone, never to
@@ -139,7 +130,11 @@ fn checkpoint_restores_across_pool_widths() {
                 .finish(&mut NoopObserver)
         });
         assert_eq!(out.termination, Termination::Converged, "{what}");
-        assert_eq!(fingerprint(&out), fingerprint(&uninterrupted), "{what}");
+        assert_eq!(
+            outcome_fingerprint(&out),
+            outcome_fingerprint(&uninterrupted),
+            "{what}"
+        );
     }
 }
 

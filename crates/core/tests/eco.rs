@@ -26,7 +26,7 @@ use sadp_grid::{
 use sadp_router::budget::RouteBudget;
 use sadp_router::rnr::PinIndex;
 use sadp_router::state::RouterState;
-use sadp_router::{RouterConfig, RoutingOutcome, RoutingSession};
+use sadp_router::{outcome_fingerprint, RouterConfig, RoutingOutcome, RoutingSession};
 use sadp_trace::NoopObserver;
 
 /// The spec every test edits: a scaled-down paper circuit, big enough
@@ -212,23 +212,6 @@ fn patched_indexes_equal_scratch_rebuild_of_edited_layout() {
     assert!(out.colorable);
 }
 
-/// Everything deterministic about an outcome (runtimes excluded).
-fn fingerprint(out: &RoutingOutcome) -> (Vec<(NetId, RoutedNet)>, [bool; 4], u64, u64) {
-    let routes: Vec<(NetId, RoutedNet)> =
-        out.solution.iter().map(|(id, r)| (id, r.clone())).collect();
-    (
-        routes,
-        [
-            out.routed_all,
-            out.congestion_free,
-            out.fvp_free,
-            out.colorable,
-        ],
-        out.stats.wirelength,
-        out.stats.vias,
-    )
-}
-
 /// One complete eco run: route the base, apply the delta, finish
 /// warm. `interrupt` drives the warm restart through a zero deadline
 /// first, then resumes — exercising budget-resumable eco work.
@@ -251,17 +234,21 @@ fn eco_run(config: RouterConfig, interrupt: bool) -> RoutingOutcome {
 #[test]
 fn eco_outcome_is_invariant_across_exec_knobs() {
     let base = RouterConfig::full(SadpKind::Sim);
-    let reference = fingerprint(&sadp_exec::with_threads(1, || eco_run(base, false)));
+    let reference = outcome_fingerprint(&sadp_exec::with_threads(1, || eco_run(base, false)));
 
     // Pool widths (sharded R&R engages above width 1).
     for threads in [2, 4] {
         let wide = sadp_exec::with_threads(threads, || eco_run(base, false));
-        assert_eq!(reference, fingerprint(&wide), "threads={threads}");
+        assert_eq!(reference, outcome_fingerprint(&wide), "threads={threads}");
     }
 
     // Budget interrupt + resume mid-eco.
     let resumed = sadp_exec::with_threads(1, || eco_run(base, true));
-    assert_eq!(reference, fingerprint(&resumed), "interrupt/resume leg");
+    assert_eq!(
+        reference,
+        outcome_fingerprint(&resumed),
+        "interrupt/resume leg"
+    );
 }
 
 #[test]

@@ -12,25 +12,8 @@
 
 use benchgen::BenchSpec;
 use proptest::prelude::*;
-use sadp_grid::{NetId, RoutedNet, SadpKind};
-use sadp_router::{RouterConfig, RoutingOutcome, RoutingSession};
-
-/// Everything deterministic about an outcome (runtimes excluded).
-fn fingerprint(out: &RoutingOutcome) -> (Vec<(NetId, RoutedNet)>, [bool; 4], u64, u64) {
-    let routes: Vec<(NetId, RoutedNet)> =
-        out.solution.iter().map(|(id, r)| (id, r.clone())).collect();
-    (
-        routes,
-        [
-            out.routed_all,
-            out.congestion_free,
-            out.fvp_free,
-            out.colorable,
-        ],
-        out.stats.wirelength,
-        out.stats.vias,
-    )
-}
+use sadp_grid::SadpKind;
+use sadp_router::{outcome_fingerprint, RouterConfig, RoutingOutcome, RoutingSession};
 
 fn route(spec: &BenchSpec, seed: u64, kind: SadpKind) -> RoutingOutcome {
     RoutingSession::try_new(&spec.grid(), &spec.generate(seed), RouterConfig::full(kind))
@@ -52,7 +35,7 @@ proptest! {
         let spec = BenchSpec::paper_suite()[circuit].scaled(0.02);
         let serial = sadp_exec::with_threads(1, || route(&spec, seed, SadpKind::Sim));
         let parallel = sadp_exec::with_threads(4, || route(&spec, seed, SadpKind::Sim));
-        prop_assert_eq!(fingerprint(&serial), fingerprint(&parallel));
+        prop_assert_eq!(outcome_fingerprint(&serial), outcome_fingerprint(&parallel));
     }
 
     /// The `congestion_free` flag never misreports: when set, the

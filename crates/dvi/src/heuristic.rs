@@ -261,7 +261,7 @@ fn precolor(problem: &DviProblem) -> (Vec<Option<u8>>, usize) {
 /// assert_eq!(out.dead_via_count, 0);
 /// ```
 pub fn solve_heuristic(problem: &DviProblem, params: &DviParams) -> DviOutcome {
-    solve_with::<Local>(problem, params, 0)
+    solve_with::<Local>(problem, params)
 }
 
 /// [`solve_heuristic`] wrapped in a [`sadp_trace::Phase::Dvi`] span,
@@ -271,36 +271,11 @@ pub fn solve_heuristic_observed(
     params: &DviParams,
     obs: &mut impl RouteObserver,
 ) -> DviOutcome {
-    observe_dvi(obs, || solve_with::<Local>(problem, params, 0))
-}
-
-/// Algorithm 3 followed by up to `swap_passes` rounds of 1-swap local
-/// improvement — **our extension beyond the paper**: for every via
-/// left dead, if one of its candidates is blocked by exactly one
-/// inserted redundant via, try moving that insertion to another valid
-/// candidate of its own via; on success both vias end up protected.
-///
-/// Keeps all invariants of the base heuristic (one redundant via per
-/// single via, conflict-free, FVP-free, final coloring with un-insert
-/// of uncolorable vias) and narrows the gap to the exact ILP at a
-/// small extra cost: each pass is `O(V + C)`, every blocker lookup
-/// reading a constant neighbourhood.
-pub fn solve_heuristic_improved(problem: &DviProblem, params: &DviParams) -> DviOutcome {
-    solve_with::<Local>(problem, params, 3)
-}
-
-/// [`solve_heuristic_improved`] wrapped in a
-/// [`sadp_trace::Phase::Dvi`] span.
-pub fn solve_heuristic_improved_observed(
-    problem: &DviProblem,
-    params: &DviParams,
-    obs: &mut impl RouteObserver,
-) -> DviOutcome {
-    observe_dvi(obs, || solve_with::<Local>(problem, params, 3))
+    observe_dvi(obs, || solve_with::<Local>(problem, params))
 }
 
 /// Runs a DVI solver body inside a [`Phase::Dvi`] span and emits the
-/// outcome counters (shared by every `*_observed` entry point).
+/// outcome counters.
 pub(crate) fn observe_dvi(
     obs: &mut impl RouteObserver,
     body: impl FnOnce() -> DviOutcome,
@@ -312,16 +287,10 @@ pub(crate) fn observe_dvi(
     outcome
 }
 
-/// The two stages whose scans are bounded by the conflict radius: the
-/// FVP-blocker lookup of the 1-swap pass and the final coloring. The
-/// production form is [`Local`]; the tests keep the original
-/// whole-problem scans as a differential oracle.
+/// The final coloring, whose scans are bounded by the conflict radius.
+/// The production form is [`Local`]; the tests keep the original
+/// whole-problem scan as a differential oracle.
 trait Stages {
-    /// The inserted candidates that may FVP-block candidate `c`: those
-    /// within the 5×5 classification-window reach of its location, in
-    /// ascending order, at most six.
-    fn fvp_blockers(state: &HeurState<'_>, c: u32) -> Vec<u32>;
-
     /// Colors `insertion_order` first-fit against the fixed
     /// pre-coloring `via_colors`, un-inserting uncolorable ones;
     /// returns the kept insertions and their colors.
@@ -336,26 +305,6 @@ trait Stages {
 struct Local;
 
 impl Stages for Local {
-    fn fvp_blockers(state: &HeurState<'_>, c: u32) -> Vec<u32> {
-        let cand = &state.problem.candidates()[c as usize];
-        let (layer, (cx, cy)) = (cand.via_layer, cand.loc);
-        let mut near = Vec::new();
-        for dx in -2..=2 {
-            for dy in -2..=2 {
-                near.extend(
-                    state
-                        .cand_by_loc
-                        .at(layer, cx + dx, cy + dy)
-                        .filter(|&o| state.inserted[o as usize]),
-                );
-            }
-        }
-        // Ascending ids: the order decides which 1-swap is tried first.
-        near.sort_unstable();
-        near.truncate(6);
-        near
-    }
-
     fn color(
         state: &mut HeurState<'_>,
         via_colors: &[Option<u8>],
@@ -398,20 +347,10 @@ impl Stages for Local {
     }
 }
 
-fn solve_with<S: Stages>(
-    problem: &DviProblem,
-    params: &DviParams,
-    swap_passes: usize,
-) -> DviOutcome {
+fn solve_with<S: Stages>(problem: &DviProblem, params: &DviParams) -> DviOutcome {
     let start = Instant::now();
     let (via_colors, uncolorable) = precolor(problem);
-    let (mut state, mut insertion_order) = greedy(problem, params);
-
-    for _ in 0..swap_passes {
-        if !one_swap_pass::<S>(problem, &mut state, &mut insertion_order) {
-            break;
-        }
-    }
+    let (mut state, insertion_order) = greedy(problem, params);
 
     // TPL coloring of the inserted redundant vias against the fixed
     // pre-coloring; uncolorable ones are un-inserted.
@@ -452,83 +391,6 @@ fn greedy<'p>(problem: &'p DviProblem, params: &DviParams) -> (HeurState<'p>, Ve
     (state, insertion_order)
 }
 
-/// One pass of 1-swap improvement; returns `true` when at least one
-/// additional via was protected.
-///
-/// For every dead via and each of its candidates `c`, the pass
-/// collects the inserted redundant vias preventing `c` — either the
-/// single conflicting insertion, or (when `c` is only FVP-blocked)
-/// the nearby insertions inside the offending windows — and tries to
-/// re-home one of them onto another valid candidate of its own via so
-/// that `c` becomes insertable. Success protects one more via; any
-/// failed attempt is fully reverted.
-fn one_swap_pass<S: Stages>(
-    problem: &DviProblem,
-    state: &mut HeurState<'_>,
-    insertion_order: &mut Vec<u32>,
-) -> bool {
-    // Position of each inserted candidate in `insertion_order` (every
-    // inserted candidate is there).
-    let mut slot = vec![0usize; problem.candidates().len()];
-    for (pos, &c) in insertion_order.iter().enumerate() {
-        slot[c as usize] = pos;
-    }
-    let mut improved = false;
-    for (v, pv) in problem.vias().iter().enumerate() {
-        if state.protected[v] {
-            continue;
-        }
-        'candidates: for &c in &pv.candidates {
-            let conflict_blockers: Vec<u32> = state.conflict_adj[c as usize]
-                .iter()
-                .copied()
-                .filter(|&o| state.inserted[o as usize])
-                .collect();
-            let removal_candidates: Vec<u32> = match conflict_blockers.len() {
-                1 => conflict_blockers,
-                // FVP-blocked: inserted redundant vias within the
-                // classification window reach of the location.
-                0 => S::fvp_blockers(state, c),
-                _ => continue, // multiple conflicts: a 1-swap cannot help
-            };
-            for b in removal_candidates {
-                let b_via = problem.candidates()[b as usize].via_idx;
-                state.uninsert(b);
-                state.protected[b_via as usize] = false;
-                if !state.is_valid(c) {
-                    state.insert(b);
-                    continue;
-                }
-                state.insert(c);
-                // Re-home the removed insertion on another candidate.
-                let alt = problem.vias()[b_via as usize]
-                    .candidates
-                    .iter()
-                    .copied()
-                    .find(|&a| a != b && state.is_valid(a));
-                match alt {
-                    Some(a) => {
-                        state.insert(a);
-                        let pos = slot[b as usize];
-                        insertion_order[pos] = a;
-                        slot[a as usize] = pos;
-                        slot[c as usize] = insertion_order.len();
-                        insertion_order.push(c);
-                        improved = true;
-                        break 'candidates;
-                    }
-                    None => {
-                        state.uninsert(c);
-                        state.protected[v] = false;
-                        state.insert(b);
-                    }
-                }
-            }
-        }
-    }
-    improved
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,28 +401,11 @@ mod tests {
     };
     use tpl_decomp::vias_conflict;
 
-    /// The differential oracle: the original whole-problem scans —
-    /// every candidate per FVP-blocked candidate, every via and every
-    /// colored insertion per inserted candidate.
+    /// The differential oracle: the original whole-problem scan —
+    /// every via and every colored insertion per inserted candidate.
     struct Quadratic;
 
     impl Stages for Quadratic {
-        fn fvp_blockers(state: &HeurState<'_>, c: u32) -> Vec<u32> {
-            let cand = &state.problem.candidates()[c as usize];
-            let mut near = Vec::new();
-            for (i, other) in state.problem.candidates().iter().enumerate() {
-                if state.inserted[i]
-                    && other.via_layer == cand.via_layer
-                    && (other.loc.0 - cand.loc.0).abs() <= 2
-                    && (other.loc.1 - cand.loc.1).abs() <= 2
-                {
-                    near.push(i as u32);
-                }
-            }
-            near.truncate(6);
-            near
-        }
-
         fn color(
             state: &mut HeurState<'_>,
             via_colors: &[Option<u8>],
@@ -600,31 +445,16 @@ mod tests {
         }
     }
 
-    /// Runs the local solver and the quadratic oracle, base and
-    /// improved, and requires identical outcomes; also compares the
-    /// FVP-blocker lists of every candidate after the greedy stage
-    /// (their order decides which 1-swap is tried first).
+    /// Runs the local solver and the quadratic oracle and requires
+    /// identical outcomes.
     fn assert_matches_oracle(p: &DviProblem, what: &str) {
         let params = DviParams::default();
-        let (state, _) = greedy(p, &params);
-        for c in 0..p.candidates().len() as u32 {
-            assert_eq!(
-                Local::fvp_blockers(&state, c),
-                Quadratic::fvp_blockers(&state, c),
-                "{what}: FVP blockers of candidate {c}"
-            );
-        }
-        for passes in [0, 3] {
-            let local = solve_with::<Local>(p, &params, passes);
-            let oracle = solve_with::<Quadratic>(p, &params, passes);
-            assert_eq!(
-                local.inserted, oracle.inserted,
-                "{what}, {passes} swap passes"
-            );
-            assert_eq!(local.inserted_colors, oracle.inserted_colors, "{what}");
-            assert_eq!(local.via_colors, oracle.via_colors, "{what}");
-            assert_eq!(local.dead_via_count, oracle.dead_via_count, "{what}");
-        }
+        let local = solve_with::<Local>(p, &params);
+        let oracle = solve_with::<Quadratic>(p, &params);
+        assert_eq!(local.inserted, oracle.inserted, "{what}");
+        assert_eq!(local.inserted_colors, oracle.inserted_colors, "{what}");
+        assert_eq!(local.via_colors, oracle.via_colors, "{what}");
+        assert_eq!(local.dead_via_count, oracle.dead_via_count, "{what}");
     }
 
     #[test]
@@ -830,39 +660,6 @@ mod tests {
         let out = solve_heuristic(&p, &DviParams::default());
         // All four vias should still be protectable (plenty of space).
         assert!(out.dead_via_count <= 1);
-    }
-
-    #[test]
-    fn improved_never_worse_and_keeps_invariants() {
-        for spacing in [2, 3] {
-            let sol = chain_solution(6, spacing);
-            let p = DviProblem::build(SadpKind::Sim, &sol);
-            let base = solve_heuristic(&p, &DviParams::default());
-            let better = solve_heuristic_improved(&p, &DviParams::default());
-            assert!(better.dead_via_count <= base.dead_via_count);
-            // Invariants: one per via, conflict-free, FVP-free.
-            let mut per_via = vec![0usize; p.via_count()];
-            for &c in &better.inserted {
-                per_via[p.candidates()[c as usize].via_idx as usize] += 1;
-            }
-            assert!(per_via.iter().all(|&k| k <= 1));
-            for &(a, b) in p.conflicts() {
-                assert!(!(better.inserted.contains(&a) && better.inserted.contains(&b)));
-            }
-            for layer in p.via_layers() {
-                let mut idx = FvpIndex::new(20, 64);
-                for (x, y) in p.existing_on_layer(layer) {
-                    idx.add_via(x, y);
-                }
-                for &c in &better.inserted {
-                    let cand = &p.candidates()[c as usize];
-                    if cand.via_layer == layer {
-                        idx.add_via(cand.loc.0, cand.loc.1);
-                    }
-                }
-                assert!(idx.fvp_windows().is_empty());
-            }
-        }
     }
 
     #[test]

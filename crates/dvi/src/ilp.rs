@@ -10,6 +10,11 @@
 //! Objective: `maximize Σ D_ij − B·Σ uV_i` with `B` larger than the
 //! total candidate count, so avoiding a single uncolorable via always
 //! dominates any number of insertions.
+//!
+//! This is the paper's reference model, kept to reproduce its
+//! cost-of-exactness observation and to cross-check the lazy-cut
+//! solver on small instances. It proves optimality only on tiny
+//! problems; [`crate::solve_exact`] is the exact solver to call.
 
 use std::time::Instant;
 
@@ -218,20 +223,6 @@ pub fn solve_ilp(problem: &DviProblem, options: &IlpOptions) -> (DviOutcome, Sol
     }
     let sol = model.solve(&solve_opts);
     let outcome = decode(problem, &mapping, &sol, start);
-    (outcome, sol)
-}
-
-/// [`solve_ilp`] wrapped in a [`sadp_trace::Phase::Dvi`] span.
-pub fn solve_ilp_observed(
-    problem: &DviProblem,
-    options: &IlpOptions,
-    obs: &mut impl sadp_trace::RouteObserver,
-) -> (DviOutcome, Solution) {
-    use sadp_trace::Phase;
-    obs.phase_start(Phase::Dvi);
-    let (outcome, sol) = solve_ilp(problem, options);
-    outcome.emit_counters(obs);
-    obs.phase_end(Phase::Dvi);
     (outcome, sol)
 }
 

@@ -1,11 +1,11 @@
-//! Lazy-cut ILP solver for TPL-aware DVI.
+//! The exact TPL-aware DVI solver: a lazy-cut ILP.
 //!
-//! The literal C1–C8 model ties every via of a layer into one giant
-//! branch-and-bound component through the color indicator variables,
-//! which makes proving optimality hopeless at realistic sizes (the
-//! paper's Gurobi runs take 1500–6500 s on circuits of this scale).
-//! This solver uses the classic remedy — delayed constraint
-//! generation:
+//! The literal C1–C8 model ([`crate::ilp`]) ties every via of a layer
+//! into one giant branch-and-bound component through the color
+//! indicator variables, which makes proving optimality hopeless at
+//! realistic sizes (the paper's Gurobi runs take 1500–6500 s on
+//! circuits of this scale). This solver uses the classic remedy —
+//! delayed constraint generation:
 //!
 //! 1. solve the **insertion relaxation** exactly: variables `D_ij`
 //!    only, constraints C1 (one redundant via per single via) and C2
@@ -29,10 +29,27 @@
 //! candidate are pre-existing layout defects: their vias are counted
 //! in `#UV` and excluded from further checks, matching the ILP's
 //! `uV` semantics.
+//!
+//! Only a relaxation solution that passed the check is ever decoded.
+//! When the loop stops early (deadline, round cap, or an infeasible or
+//! unknown relaxation) before one passed, the result is the warm-start
+//! heuristic's own outcome, so [`solve_exact`] always returns a legal
+//! insertion set; [`LazyStats::proven_optimal`] says whether it is
+//! optimal.
+//!
+//! A solver bug (or an injected fault) must never take the whole
+//! routing session down: a panic inside the lazy loop and the
+//! `dvi.solver_abort` failpoint degrade to the heuristic (Algorithm 3),
+//! and the substitution is recorded on the observer as the
+//! `dvi_solver` / `dvi_fallback` notes.
 
+use std::collections::HashSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use bilp::{Model, Sense, SolveOptions, SolveStatus, VarId};
+use sadp_grid::RouteError;
+use sadp_trace::{Counter, Phase, RouteObserver};
 use tpl_decomp::{exact_color, welsh_powell, DecompGraph, FvpIndex};
 
 use crate::candidates::DviProblem;
@@ -43,23 +60,13 @@ use crate::report::DviOutcome;
 /// the greedy coloring fails.
 pub const EXACT_COLORING_LIMIT: usize = 32;
 
-/// Options for [`solve_ilp_lazy`].
-#[derive(Debug, Clone)]
-pub struct LazyIlpOptions {
-    /// Total wall-clock budget across all rounds.
-    pub time_limit: Option<Duration>,
-    /// Maximum cut-generation rounds.
-    pub max_rounds: usize,
-}
+/// Cut-generation rounds before the lazy loop gives up on proving
+/// optimality.
+const MAX_ROUNDS: usize = 50;
 
-impl Default for LazyIlpOptions {
-    fn default() -> Self {
-        LazyIlpOptions {
-            time_limit: None,
-            max_rounds: 50,
-        }
-    }
-}
+/// Failpoint name: when armed, the exact solver "aborts" and the call
+/// degrades to the heuristic.
+const FAILPOINT_SOLVER_ABORT: &str = "dvi.solver_abort";
 
 /// Statistics of a lazy-cut solve.
 #[derive(Debug, Clone, Copy, Default)]
@@ -75,27 +82,105 @@ pub struct LazyStats {
     pub best_bound: i64,
 }
 
-/// [`solve_ilp_lazy`] wrapped in a [`sadp_trace::Phase::Dvi`] span:
-/// the observer also receives the cut-round count as
-/// [`sadp_trace::Counter::Iterations`].
-pub fn solve_ilp_lazy_observed(
-    problem: &DviProblem,
-    options: &LazyIlpOptions,
-    obs: &mut impl sadp_trace::RouteObserver,
-) -> (DviOutcome, LazyStats) {
-    use sadp_trace::{Counter, Phase};
-    obs.phase_start(Phase::Dvi);
-    let (outcome, stats) = solve_ilp_lazy(problem, options);
-    outcome.emit_counters(obs);
-    obs.counter(Phase::Dvi, Counter::Iterations, stats.rounds as i64);
-    obs.phase_end(Phase::Dvi);
-    (outcome, stats)
+/// What [`solve_exact`] produced and how.
+#[derive(Debug, Clone)]
+pub struct ExactRun {
+    /// The DVI outcome: always a legal insertion set.
+    pub outcome: DviOutcome,
+    /// Statistics of the lazy loop (all zero after a fallback).
+    pub stats: LazyStats,
+    /// Why the heuristic produced `outcome` instead of the lazy ILP
+    /// (a contained panic or the `dvi.solver_abort` failpoint).
+    pub fallback_reason: Option<String>,
 }
 
-/// Solves TPL-aware DVI by the lazy-cut decomposition.
-pub fn solve_ilp_lazy(problem: &DviProblem, options: &LazyIlpOptions) -> (DviOutcome, LazyStats) {
+/// Solves TPL-aware DVI exactly by the lazy-cut decomposition, within
+/// `time_limit` when one is given.
+///
+/// Runs inside a [`Phase::Dvi`] observer span: the observer receives
+/// the outcome counters, the cut-round count as
+/// [`Counter::Iterations`], the producing solver as the `dvi_solver`
+/// note (`"ilp_lazy"` or `"heuristic"`) and, on degradation, the cause
+/// as the `dvi_fallback` note. A deadline or round-cap stop does not
+/// degrade: the result is legal and `stats.proven_optimal` is `false`.
+///
+/// # Errors
+///
+/// [`RouteError::Solver`] only when the heuristic fallback itself
+/// panics — there is no further fallback.
+pub fn solve_exact(
+    problem: &DviProblem,
+    time_limit: Option<Duration>,
+    obs: &mut impl RouteObserver,
+) -> Result<ExactRun, RouteError> {
+    obs.phase_start(Phase::Dvi);
+    let result = match run_lazy_contained(problem, time_limit) {
+        Ok((outcome, stats)) => Ok(ExactRun {
+            outcome,
+            stats,
+            fallback_reason: None,
+        }),
+        Err(reason) => catch_unwind(AssertUnwindSafe(|| {
+            solve_heuristic(problem, &DviParams::default())
+        }))
+        .map(|outcome| ExactRun {
+            outcome,
+            stats: LazyStats::default(),
+            fallback_reason: Some(reason),
+        })
+        .map_err(|p| RouteError::Solver {
+            solver: "heuristic".to_string(),
+            reason: format!("fallback heuristic panicked: {}", panic_text(p.as_ref())),
+        }),
+    };
+    if let Ok(run) = &result {
+        match &run.fallback_reason {
+            None => obs.note("dvi_solver", "ilp_lazy"),
+            Some(reason) => {
+                obs.note("dvi_solver", "heuristic");
+                obs.note("dvi_fallback", reason);
+            }
+        }
+        run.outcome.emit_counters(obs);
+        obs.counter(Phase::Dvi, Counter::Iterations, run.stats.rounds as i64);
+    }
+    obs.phase_end(Phase::Dvi);
+    result
+}
+
+/// The lazy loop behind the failpoint and a panic guard: `Err` is the
+/// human-readable reason the heuristic must take over.
+fn run_lazy_contained(
+    problem: &DviProblem,
+    time_limit: Option<Duration>,
+) -> Result<(DviOutcome, LazyStats), String> {
+    if faultinject::should_fail(FAILPOINT_SOLVER_ABORT) {
+        return Err(format!("fault injected: {FAILPOINT_SOLVER_ABORT}"));
+    }
+    catch_unwind(AssertUnwindSafe(|| {
+        solve_lazy(problem, time_limit, MAX_ROUNDS)
+    }))
+    .map_err(|p| format!("lazy ilp solver panicked: {}", panic_text(p.as_ref())))
+}
+
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// The lazy-cut loop: at most `max_rounds` relaxation solves.
+fn solve_lazy(
+    problem: &DviProblem,
+    time_limit: Option<Duration>,
+    max_rounds: usize,
+) -> (DviOutcome, LazyStats) {
     let start = Instant::now();
-    let deadline = options.time_limit.map(|d| start + d);
+    let deadline = time_limit.map(|d| start + d);
 
     // Base model: D variables, C1, C2.
     let mut model = Model::maximize();
@@ -124,7 +209,8 @@ pub fn solve_ilp_lazy(problem: &DviProblem, options: &LazyIlpOptions) -> (DviOut
         );
     }
 
-    // Warm start from the heuristic.
+    // Warm start from the heuristic in every round (the solver ignores
+    // a warm start that later cuts made infeasible).
     let heur = solve_heuristic(problem, &DviParams::default());
     let mut warm = vec![false; d_vars.len()];
     for &c in &heur.inserted {
@@ -133,12 +219,12 @@ pub fn solve_ilp_lazy(problem: &DviProblem, options: &LazyIlpOptions) -> (DviOut
 
     // Vias in pre-existing uncolorable components (counted as #UV and
     // excluded from coloring checks).
-    let mut dead_existing: std::collections::HashSet<usize> = std::collections::HashSet::new();
+    let mut dead_existing: HashSet<usize> = HashSet::new();
     let mut stats = LazyStats::default();
-    let mut last_solution: Vec<u32> = heur.inserted.clone();
-    let mut proven = false;
+    // The first relaxation solution that passed the TPL check.
+    let mut accepted: Option<Vec<u32>> = None;
 
-    for round in 0..options.max_rounds {
+    for round in 0..max_rounds {
         stats.rounds = round + 1;
         let remaining = deadline.map(|dl| dl.saturating_duration_since(Instant::now()));
         if matches!(remaining, Some(d) if d.is_zero()) {
@@ -155,11 +241,11 @@ pub fn solve_ilp_lazy(problem: &DviProblem, options: &LazyIlpOptions) -> (DviOut
         let inserted: Vec<u32> = (0..d_vars.len() as u32)
             .filter(|&c| sol.values[c as usize])
             .collect();
-        last_solution = inserted.clone();
 
         let violations = find_violations(problem, &inserted, &mut dead_existing);
         if violations.is_empty() {
-            proven = sol.is_optimal();
+            stats.proven_optimal = sol.is_optimal();
+            accepted = Some(inserted);
             break;
         }
         for cut in violations {
@@ -171,17 +257,18 @@ pub fn solve_ilp_lazy(problem: &DviProblem, options: &LazyIlpOptions) -> (DviOut
                 k - 1,
             );
         }
-        // The previous incumbent may now be infeasible; rebuild the
-        // warm start from the heuristic filtered by cuts (the solver
-        // ignores infeasible warm starts anyway).
-        warm = vec![false; d_vars.len()];
-        for &c in &heur.inserted {
-            warm[c as usize] = true;
-        }
     }
-    stats.proven_optimal = proven;
 
-    let outcome = decode(problem, &last_solution, &dead_existing, start);
+    let outcome = match accepted {
+        Some(inserted) => decode(problem, &inserted, &dead_existing, start),
+        // No checked solution: the heuristic's outcome is legal as it
+        // stands (re-decoding its insertions could fail to color where
+        // its own coloring succeeded).
+        None => DviOutcome {
+            runtime: start.elapsed(),
+            ..heur
+        },
+    };
     (outcome, stats)
 }
 
@@ -192,7 +279,7 @@ pub fn solve_ilp_lazy(problem: &DviProblem, options: &LazyIlpOptions) -> (DviOut
 fn find_violations(
     problem: &DviProblem,
     inserted: &[u32],
-    dead_existing: &mut std::collections::HashSet<usize>,
+    dead_existing: &mut HashSet<usize>,
 ) -> Vec<Vec<u32>> {
     let mut cuts: Vec<Vec<u32>> = Vec::new();
     let w = problem.grid_width().max(3);
@@ -248,7 +335,7 @@ fn find_violations(
         if greedy.is_complete() {
             continue;
         }
-        let uncol: std::collections::HashSet<u32> = greedy.uncolorable.iter().copied().collect();
+        let uncol: HashSet<u32> = greedy.uncolorable.iter().copied().collect();
         for comp in graph.components() {
             if !comp.iter().any(|v| uncol.contains(v)) {
                 continue;
@@ -284,7 +371,7 @@ fn find_violations(
 fn decode(
     problem: &DviProblem,
     inserted: &[u32],
-    dead_existing: &std::collections::HashSet<usize>,
+    dead_existing: &HashSet<usize>,
     start: Instant,
 ) -> DviOutcome {
     let mut via_colors: Vec<Option<u8>> = vec![None; problem.via_count()];
@@ -362,6 +449,7 @@ mod tests {
         Axis, Net, NetId, Netlist, Pin, RoutedNet, RoutingGrid, RoutingSolution, SadpKind, Via,
         WireEdge,
     };
+    use sadp_trace::JsonReport;
 
     fn chain_solution(n: i32, spacing: i32) -> RoutingSolution {
         let mut nl = Netlist::new();
@@ -385,30 +473,13 @@ mod tests {
         sol
     }
 
-    #[test]
-    fn lazy_matches_monolithic_on_small_instances() {
-        for spacing in [2, 3, 6] {
-            let sol = chain_solution(3, spacing);
-            let p = DviProblem::build(SadpKind::Sim, &sol);
-            let (mono, raw) = solve_ilp(&p, &IlpOptions::default());
-            let (lazy, stats) = solve_ilp_lazy(&p, &LazyIlpOptions::default());
-            assert!(raw.is_optimal());
-            assert!(stats.proven_optimal, "spacing {spacing}");
-            assert_eq!(
-                lazy.inserted_count(),
-                mono.inserted_count(),
-                "spacing {spacing}"
-            );
-            assert_eq!(lazy.uncolorable_count, mono.uncolorable_count);
-        }
+    fn unlimited(p: &DviProblem) -> (DviOutcome, LazyStats) {
+        solve_lazy(p, None, MAX_ROUNDS)
     }
 
-    #[test]
-    fn lazy_result_has_no_fvp_and_proper_colors() {
-        let sol = chain_solution(6, 2);
-        let p = DviProblem::build(SadpKind::Sim, &sol);
-        let (out, stats) = solve_ilp_lazy(&p, &LazyIlpOptions::default());
-        assert!(stats.proven_optimal);
+    /// No FVP window on any via layer after insertion, and a proper
+    /// 3-coloring of the existing and inserted vias together.
+    fn assert_legal(p: &DviProblem, out: &DviOutcome, what: &str) {
         for layer in p.via_layers() {
             let mut idx = FvpIndex::new(20, 64);
             for (x, y) in p.existing_on_layer(layer) {
@@ -420,9 +491,9 @@ mod tests {
                     idx.add_via(cand.loc.0, cand.loc.1);
                 }
             }
-            assert!(idx.fvp_windows().is_empty());
+            let windows = idx.fvp_windows();
+            assert!(windows.is_empty(), "{what}: {} FVP windows", windows.len());
         }
-        // Colors proper.
         let mut all: Vec<((u8, i32, i32), u8)> = Vec::new();
         for (i, pv) in p.vias().iter().enumerate() {
             if let Some(c) = out.via_colors[i] {
@@ -441,9 +512,47 @@ mod tests {
                 let ((la, xa, ya), ca) = all[i];
                 let ((lb, xb, yb), cb) = all[j];
                 if la == lb && tpl_decomp::vias_conflict(xb - xa, yb - ya) {
-                    assert_ne!(ca, cb);
+                    assert_ne!(ca, cb, "{what}: {:?} and {:?}", all[i], all[j]);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn lazy_matches_monolithic_on_small_instances() {
+        for spacing in [2, 3, 6] {
+            let sol = chain_solution(3, spacing);
+            let p = DviProblem::build(SadpKind::Sim, &sol);
+            let (mono, raw) = solve_ilp(&p, &IlpOptions::default());
+            let (lazy, stats) = unlimited(&p);
+            assert!(raw.is_optimal());
+            assert!(stats.proven_optimal, "spacing {spacing}");
+            assert_eq!(
+                lazy.inserted_count(),
+                mono.inserted_count(),
+                "spacing {spacing}"
+            );
+            assert_eq!(lazy.uncolorable_count, mono.uncolorable_count);
+        }
+    }
+
+    #[test]
+    fn lazy_result_has_no_fvp_and_proper_colors() {
+        let p = DviProblem::build(SadpKind::Sim, &chain_solution(6, 2));
+        let (out, stats) = unlimited(&p);
+        assert!(stats.proven_optimal);
+        assert_legal(&p, &out, "unlimited");
+    }
+
+    /// A round cap that stops the loop before any relaxation solution
+    /// passes the TPL check must not hand that solution out.
+    #[test]
+    fn round_cap_stop_returns_a_legal_set() {
+        for n in [6, 12] {
+            let p = DviProblem::build(SadpKind::Sim, &chain_solution(n, 2));
+            let (out, stats) = solve_lazy(&p, None, 1);
+            assert!(!stats.proven_optimal, "{n} nets");
+            assert_legal(&p, &out, &format!("{n} nets, 1 round"));
         }
     }
 
@@ -453,7 +562,7 @@ mod tests {
             let sol = chain_solution(n, 2);
             let p = DviProblem::build(SadpKind::Sim, &sol);
             let heur = solve_heuristic(&p, &DviParams::default());
-            let (lazy, _) = solve_ilp_lazy(&p, &LazyIlpOptions::default());
+            let (lazy, _) = unlimited(&p);
             assert!(
                 lazy.dead_via_count <= heur.dead_via_count,
                 "n={n}: lazy {} vs heur {}",
@@ -469,8 +578,34 @@ mod tests {
         nl.push(Net::new("a", vec![Pin::new(0, 0), Pin::new(1, 1)]));
         let sol = RoutingSolution::new(RoutingGrid::three_layer(8, 8), &nl);
         let p = DviProblem::build(SadpKind::Sim, &sol);
-        let (out, stats) = solve_ilp_lazy(&p, &LazyIlpOptions::default());
+        let (out, stats) = unlimited(&p);
         assert_eq!(out.inserted_count(), 0);
         assert!(stats.proven_optimal);
+    }
+
+    #[test]
+    fn exact_run_notes_the_lazy_solver() {
+        let p = DviProblem::build(SadpKind::Sim, &chain_solution(2, 8));
+        let mut report = JsonReport::new("dvi");
+        let run = solve_exact(&p, None, &mut report).expect("the lazy ilp runs");
+        assert!(run.fallback_reason.is_none());
+        assert!(run.stats.proven_optimal);
+        assert_eq!(run.outcome.inserted_count(), 4);
+        assert_eq!(report.note_value("dvi_solver"), Some("ilp_lazy"));
+        assert_eq!(report.note_value("dvi_fallback"), None);
+    }
+
+    #[test]
+    fn zero_deadline_returns_a_legal_unproven_result_without_fallback() {
+        let p = DviProblem::build(SadpKind::Sim, &chain_solution(2, 8));
+        let mut report = JsonReport::new("dvi");
+        let run = solve_exact(&p, Some(Duration::ZERO), &mut report).expect("never degrades");
+        assert!(run.fallback_reason.is_none());
+        assert!(!run.stats.proven_optimal);
+        assert_eq!(report.note_value("dvi_solver"), Some("ilp_lazy"));
+        assert_eq!(report.note_value("dvi_fallback"), None);
+        // The heuristic's set stands in, and it solves the instance.
+        assert_eq!(run.outcome.inserted_count(), 4);
+        assert_legal(&p, &run.outcome, "zero deadline");
     }
 }

@@ -11,14 +11,18 @@
 //! per single via, conflict-free — such that every via layer remains
 //! TPL decomposable.
 //!
-//! Two solvers are provided, as in the paper:
+//! Two solvers are provided, as in the paper, one call each:
 //!
-//! * [`ilp::solve_ilp`] — the literal ILP formulation (constraints
-//!   C1–C8) emitted into the [`bilp`] branch-and-bound solver; the
-//!   optimality reference.
-//! * [`heuristic::solve_heuristic`] — the fast priority-queue
-//!   heuristic (Algorithm 3) with the DVI-penalty ordering and the
-//!   FVP insertion guard.
+//! * [`solve_exact`] — the exact solver: a lazy-cut ILP over the
+//!   insertion relaxation that adds FVP and coloring cuts on demand
+//!   ([`ilp_lazy`]). It always returns a legal insertion set, reports
+//!   whether it proved optimality, and degrades to the heuristic only
+//!   on a contained panic or an injected fault. The literal C1–C8
+//!   model stays in [`ilp`] as the paper's reference formulation.
+//! * [`solve_heuristic`] — the fast priority-queue heuristic
+//!   (Algorithm 3) with the DVI-penalty ordering and the FVP insertion
+//!   guard; [`solve_heuristic_observed`] is the same call inside a
+//!   [`sadp_trace::Phase::Dvi`] span.
 //!
 //! ```
 //! use sadp_grid::{Net, NetId, Netlist, Pin, RoutedNet, RoutingGrid,
@@ -48,16 +52,10 @@ pub mod heuristic;
 pub mod ilp;
 pub mod ilp_lazy;
 pub mod report;
-pub mod resilient;
 
 pub use candidates::{
     feasible_candidate, Candidate, DviProblem, LayoutView, Occupancy, OwnerIter, ProblemVia,
 };
-pub use heuristic::{
-    solve_heuristic, solve_heuristic_improved, solve_heuristic_improved_observed,
-    solve_heuristic_observed, DviParams,
-};
-pub use ilp::{build_ilp, solve_ilp, solve_ilp_observed, IlpMapping};
-pub use ilp_lazy::{solve_ilp_lazy, solve_ilp_lazy_observed, LazyIlpOptions, LazyStats};
+pub use heuristic::{solve_heuristic, solve_heuristic_observed, DviParams};
+pub use ilp_lazy::{solve_exact, ExactRun, LazyStats};
 pub use report::DviOutcome;
-pub use resilient::{solve_resilient, DviSolver, ResilientDviOptions, ResilientDviResult};

@@ -14,7 +14,7 @@
 //!
 //! | name                | effect when fired                        |
 //! |---------------------|------------------------------------------|
-//! | `dvi.solver_abort`  | DVI ILP solve aborts (panics internally; caught by the resilient wrapper) |
+//! | `dvi.solver_abort`  | `dvi::solve_exact` skips the lazy ILP and degrades to the heuristic |
 //! | `core.slow_phase`   | routing phase sleeps for the armed delay |
 //! | `exec.task_panic`   | a pool worker task panics                |
 //! | `io.torn_write`     | a journal append persists only a byte prefix, then the journal goes dead (simulated crash mid-write) |

@@ -4,7 +4,8 @@
 //!
 //! Everything here is deterministic by construction: the [`run_id`]
 //! derives from the request text (never the wall clock), and the
-//! [`outcome_fingerprint`] hashes the solution text plus the quality
+//! [`outcome_fingerprint`] (from the router crate) hashes the solution
+//! text plus the quality
 //! flags — the same fields the repo's determinism suites pin — so a
 //! request routed through the service, through `sadpd`, or directly on
 //! a bare `RoutingSession` fingerprints identically.
@@ -13,8 +14,10 @@
 
 use std::time::Duration;
 
-use sadp_grid::{write_solution, Netlist, RoutingGrid, SadpKind};
-use sadp_router::{ConfigError, RouteBudget, RouterConfig, RoutingOutcome, Termination};
+use sadp_grid::{Netlist, RoutingGrid, SadpKind};
+use sadp_router::{
+    outcome_fingerprint, ConfigError, RouteBudget, RouterConfig, RoutingOutcome, Termination,
+};
 use sadp_trace::{fnv1a, JsonReport};
 
 /// Identifies a submitted job within one [`Service`](crate::Service)
@@ -416,28 +419,6 @@ pub struct RouteResponse {
     pub outcome: JobOutcome,
     /// Events dropped from the (bounded) progress stream.
     pub dropped_events: usize,
-}
-
-/// The deterministic fingerprint of a routing outcome: FNV-1a over the
-/// solution text, the four quality flags, the termination tag, and the
-/// wirelength/via totals. Wall-clock fields are excluded, so reruns of
-/// the same request — on any pool size, through any entry point —
-/// fingerprint identically.
-pub fn outcome_fingerprint(out: &RoutingOutcome) -> u64 {
-    let mut text = write_solution(&out.solution);
-    use std::fmt::Write as _;
-    let _ = write!(
-        text,
-        "|{}{}{}{}|{}|{}:{}",
-        out.routed_all as u8,
-        out.congestion_free as u8,
-        out.fvp_free as u8,
-        out.colorable as u8,
-        out.termination,
-        out.stats.wirelength,
-        out.stats.vias,
-    );
-    fnv1a(text.as_bytes())
 }
 
 /// Builds the summary of an outcome (fingerprint included).

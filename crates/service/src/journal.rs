@@ -1,5 +1,6 @@
-//! The write-ahead job journal behind a durable [`Service`]: every
-//! accepted request is appended — checksummed and fsynced — *before*
+//! The write-ahead job journal behind a durable
+//! [`Service`](crate::Service): every accepted request is appended —
+//! checksummed and fsynced — *before*
 //! `submit` returns its `JobId`, and every terminal response is
 //! appended when the job resolves, so a crash at any instant loses no
 //! accepted job, and restart can tell exactly which jobs still owe an

@@ -46,10 +46,13 @@ pub mod service;
 pub mod wire;
 
 pub use job::{
-    outcome_fingerprint, Arm, JobBudget, JobEvent, JobId, JobOutcome, JobSource, Priority,
-    RouteRequest, RouteResponse, RouteSummary,
+    Arm, JobBudget, JobEvent, JobId, JobOutcome, JobSource, Priority, RouteRequest, RouteResponse,
+    RouteSummary,
 };
 pub use journal::{DurabilityConfig, Journal, RecoveredJob, JOURNAL_HEADER};
+/// Re-exported from the router crate, where it sits next to
+/// [`RoutingOutcome`](sadp_router::RoutingOutcome).
+pub use sadp_router::outcome_fingerprint;
 pub use service::{
     JobState, JobStatus, RecoveryReport, Service, ServiceConfig, ServiceStats, ShutdownHandle,
     ShutdownMode, SubmitError,

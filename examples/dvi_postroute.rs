@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use sadp_dvi::dvi::ilp::IlpOptions;
+use sadp_dvi::dvi::ilp::{solve_ilp, IlpOptions};
 use sadp_dvi::prelude::*;
 
 fn main() {
@@ -45,7 +45,8 @@ fn main() {
         heur.runtime.as_secs_f64()
     );
 
-    let (lazy, stats) = solve_ilp_lazy(&problem, &LazyIlpOptions::default());
+    let exact = solve_exact(&problem, None, &mut NoopObserver).expect("the exact solver runs");
+    let (lazy, stats) = (&exact.outcome, exact.stats);
     println!(
         "lazy ILP   : dead={:<5} UV={:<3} cpu={:.3}s (optimal={}, {} rounds, {} cuts)",
         lazy.dead_via_count,

@@ -56,18 +56,16 @@ pub use tpl_decomp as tpl;
 pub mod prelude {
     pub use benchgen::BenchSpec;
     pub use dvi::{
-        solve_heuristic, solve_heuristic_improved, solve_heuristic_improved_observed,
-        solve_heuristic_observed, solve_ilp, solve_ilp_lazy, solve_ilp_lazy_observed,
-        solve_ilp_observed, solve_resilient, DviOutcome, DviParams, DviProblem, DviSolver,
-        LazyIlpOptions, ResilientDviOptions, ResilientDviResult,
+        solve_exact, solve_heuristic, solve_heuristic_observed, DviOutcome, DviParams, DviProblem,
+        ExactRun,
     };
     pub use sadp_grid::{
         Axis, DeltaOp, LayoutDelta, Net, NetId, Netlist, Pin, RoutedNet, RoutingGrid,
         RoutingSolution, SadpKind, Via, WireEdge,
     };
     pub use sadp_router::{
-        full_audit, full_audit_observed, mask_audit, ConfigError, CostParams, FullAudit,
-        RouteBudget, RouteError, RouterConfig, RoutingOutcome, RoutingSession, Termination,
+        full_audit, mask_audit, ConfigError, CostParams, FullAudit, RouteBudget, RouteError,
+        RouterConfig, RoutingOutcome, RoutingSession, Termination,
     };
     pub use sadp_service::{
         outcome_fingerprint, Arm, JobBudget, JobEvent, JobId, JobOutcome, JobSource, Priority,

@@ -167,16 +167,15 @@ fn dvi_solver_abort_degrades_to_the_heuristic() {
     let problem =
         DviProblem::try_build(SadpKind::Sim, &outcome.solution).expect("solution is valid");
     let _f = faultinject::arm(3, FaultSpec::new().point("dvi.solver_abort", 1.0));
-    for solver in [DviSolver::Ilp, DviSolver::IlpLazy] {
-        let options = ResilientDviOptions {
-            solver,
-            ..ResilientDviOptions::default()
-        };
-        let r = solve_resilient(&problem, &options, &mut NoopObserver)
-            .expect("the heuristic fallback must produce a result");
-        assert_eq!(r.solver_used, DviSolver::Heuristic);
-        assert!(r.degraded());
-    }
+    let mut report = JsonReport::new("dvi");
+    let run = solve_exact(&problem, None, &mut report)
+        .expect("the heuristic fallback must produce a result");
+    let reason = run.fallback_reason.expect("the abort degrades");
+    assert!(reason.contains("dvi.solver_abort"), "{reason}");
+    assert_eq!(report.note_value("dvi_solver"), Some("heuristic"));
+    assert_eq!(report.note_value("dvi_fallback"), Some(reason.as_str()));
+    let direct = solve_heuristic(&problem, &DviParams::default());
+    assert_eq!(run.outcome.inserted, direct.inserted);
 }
 
 #[test]

@@ -72,8 +72,10 @@ fn dvi_solvers_respect_all_constraints() {
         .expect("full flow");
     let problem = DviProblem::build(SadpKind::Sim, &out.solution);
     let heur = solve_heuristic(&problem, &DviParams::default());
-    let (ilp, stats) = solve_ilp_lazy(&problem, &LazyIlpOptions::default());
-    assert!(stats.proven_optimal);
+    let exact = solve_exact(&problem, None, &mut NoopObserver).expect("the exact solver runs");
+    assert!(exact.stats.proven_optimal);
+    assert!(exact.fallback_reason.is_none());
+    let ilp = exact.outcome;
     // The exact solver can only do at least as well.
     assert!(ilp.dead_via_count <= heur.dead_via_count);
 
