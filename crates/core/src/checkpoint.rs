@@ -4,7 +4,7 @@
 //!
 //! The snapshot captures everything a resumed activation observes:
 //! the partial solution (solution text form), the verbatim per-net
-//! cost journals (replayed through the suspend/resume mechanism, so
+//! cost journals (replayed verbatim by `RouterState::resume_route`, so
 //! restore is order-independent — recomputing costs on restore would
 //! not be), the negotiated-congestion history, the pending work
 //! queues of every phase (congestion queue verbatim, TPL heap as its
@@ -34,7 +34,7 @@ use sadp_trace::fnv1a;
 use crate::budget::{ActiveBudget, Termination};
 use crate::flow::{RouterConfig, RoutingSession};
 use crate::rnr::{CongestionWork, InitialWork, RnrStats, TplWork, Violation};
-use crate::state::{Delta, MapKind, RouterState, SuspendedRoute};
+use crate::state::{Delta, MapKind, RouterState};
 
 /// Magic + version header of the checkpoint format.
 pub const CHECKPOINT_HEADER: &str = "sadp-checkpoint v1";
@@ -518,7 +518,7 @@ impl<'a> RoutingSession<'a> {
             }
         }
 
-        // --- solution + journal replay through suspend/resume ---
+        // --- solution + journal replay ---
         let rest = lines.rest;
         if rest.len() < solution_len {
             return Err(durability("solution section truncated"));
@@ -533,9 +533,7 @@ impl<'a> RoutingSession<'a> {
             let id = NetId(id as u32);
             match parsed.take_route(id) {
                 Some(route) => {
-                    session
-                        .state
-                        .resume_route(id, SuspendedRoute::from_parts(route, journal));
+                    session.state.resume_route(id, route, journal);
                 }
                 None if journal.is_empty() => {}
                 None => return Err(durability("cost journal for an unrouted net")),

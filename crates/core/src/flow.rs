@@ -36,7 +36,6 @@ use crate::rnr::{
     InitialWork, PinIndex, RnrStats, TplWork,
 };
 use crate::search::SearchScratch;
-use crate::shard;
 use crate::state::RouterState;
 
 /// Failpoint name for an injected delay at the start of every phase
@@ -424,13 +423,6 @@ pub struct RoutingSession<'a> {
     pub(crate) pins: PinIndex,
     pub(crate) state: RouterState,
     pub(crate) scratch: SearchScratch,
-    /// Per-worker scratches of the sharded R&R scheduler, reused
-    /// across waves and phase activations.
-    pub(crate) shard_pool: Vec<SearchScratch>,
-    /// Claim-bitmap region size of the sharded scheduler
-    /// ([`shard::SHARD_REGION`]; unit tests vary it, which never
-    /// changes the outcome).
-    pub(crate) shard_region: i32,
     pub(crate) start: Instant,
     pub(crate) budget: ActiveBudget,
     pub(crate) initial_work: InitialWork,
@@ -476,8 +468,6 @@ impl<'a> RoutingSession<'a> {
             pins: PinIndex::build(&state.grid, netlist),
             state,
             scratch: SearchScratch::new(),
-            shard_pool: Vec::new(),
-            shard_region: shard::SHARD_REGION,
             start: Instant::now(),
             budget: ActiveBudget::unlimited(),
             initial_work: InitialWork::default(),
@@ -611,44 +601,15 @@ impl<'a> RoutingSession<'a> {
         let limits = self.budget.limits(usize::MAX);
         obs.phase_start(Phase::InitialRouting);
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
-        let t = if shard::should_shard(&limits, &self.state) {
-            match crate::shard::initial_routing_sharded(
-                &mut self.state,
-                self.netlist,
-                limits,
-                &mut self.initial_work,
-                &mut self.failed,
-                &mut self.scratch,
-                &mut self.shard_pool,
-                self.shard_region,
-                obs,
-            ) {
-                Ok(t) => t,
-                Err(p) => {
-                    // Contain the worker panic: nets not yet routed are
-                    // reported failed so `routed_all` stays truthful,
-                    // and `try_finish` surfaces the fault.
-                    self.fault = Some(RouteError::TaskPanicked {
-                        task: p.task,
-                        message: p.message,
-                    });
-                    self.failed
-                        .extend_from_slice(&self.initial_work.order[self.initial_work.pos..]);
-                    self.initial_work.pos = self.initial_work.order.len();
-                    Termination::Converged
-                }
-            }
-        } else {
-            initial_routing(
-                &mut self.state,
-                self.netlist,
-                limits,
-                &mut self.initial_work,
-                &mut self.failed,
-                &mut self.scratch,
-                obs,
-            )
-        };
+        let t = initial_routing(
+            &mut self.state,
+            self.netlist,
+            limits,
+            &mut self.initial_work,
+            &mut self.failed,
+            &mut self.scratch,
+            obs,
+        );
         obs.phase_end(Phase::InitialRouting);
         self.initial_term = Some(t);
     }
@@ -664,45 +625,15 @@ impl<'a> RoutingSession<'a> {
         let limits = self.budget.limits(config_cap);
         obs.phase_start(Phase::CongestionNegotiation);
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
-        let (clean, stats) = if shard::should_shard(&limits, &self.state) {
-            let (result, stats) = crate::shard::negotiate_congestion_sharded(
-                &mut self.state,
-                self.netlist,
-                &self.pins,
-                limits,
-                &mut self.congestion_work,
-                &mut self.scratch,
-                &mut self.shard_pool,
-                self.shard_region,
-                obs,
-            );
-            match result {
-                Ok(clean) => (clean, stats),
-                Err(p) => {
-                    // Contain the worker panic: the wave rolled back to
-                    // a valid serial state; record the fault and stop
-                    // the phase with its partial stats.
-                    self.fault = Some(RouteError::TaskPanicked {
-                        task: p.task,
-                        message: p.message,
-                    });
-                    let clean = self.state.congested_points().is_empty();
-                    let mut stats = stats;
-                    stats.termination = Termination::Converged;
-                    (clean, stats)
-                }
-            }
-        } else {
-            negotiate_congestion(
-                &mut self.state,
-                self.netlist,
-                &self.pins,
-                limits,
-                &mut self.congestion_work,
-                &mut self.scratch,
-                obs,
-            )
-        };
+        let (clean, stats) = negotiate_congestion(
+            &mut self.state,
+            self.netlist,
+            &self.pins,
+            limits,
+            &mut self.congestion_work,
+            &mut self.scratch,
+            obs,
+        );
         obs.phase_end(Phase::CongestionNegotiation);
         self.congestion_clean = clean;
         self.congestion_stats.merge(stats);
@@ -955,8 +886,8 @@ impl<'a> RoutingSession<'a> {
     /// 4. rewinds the phase machinery so the normal `initial_route →
     ///    negotiate → tpl_removal → ensure_colorable` sequence re-runs
     ///    warm over just the victims and added nets. Budgets,
-    ///    observers, sharding, and resumability behave exactly as on a
-    ///    cold session.
+    ///    observers, and resumability behave exactly as on a cold
+    ///    session.
     ///
     /// Emits [`Counter::EcoVictims`] (nets ripped) and
     /// [`Counter::EcoReused`] (routes kept) under

@@ -49,7 +49,6 @@ pub mod eco;
 pub mod flow;
 pub mod rnr;
 pub mod search;
-mod shard;
 pub mod state;
 
 pub use audit::{full_audit, mask_audit, FullAudit};

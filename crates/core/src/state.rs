@@ -456,79 +456,12 @@ impl RouterState {
         }
         self.view.remove_route(id, &stub);
     }
-}
 
-/// A route lifted out of the state by [`RouterState::suspend_route`],
-/// carrying its exact cost journal so [`RouterState::resume_route`]
-/// can restore the state byte-for-byte.
-///
-/// Unlike an uninstall/install round trip — which *recomputes* the
-/// journal against whatever the state looks like at reinstall time —
-/// a suspend/resume pair preserves the original `Delta` list, so the
-/// state after resume is identical to the state before suspend even
-/// if unrelated costs changed in between (they did not, when the
-/// caller guarantees disjoint footprints).
-#[derive(Debug)]
-pub struct SuspendedRoute {
-    route: RoutedNet,
-    journal: Vec<Delta>,
-}
-
-impl SuspendedRoute {
-    /// Rebuilds a suspension from a persisted route + journal pair
-    /// (checkpoint restore): [`RouterState::resume_route`] then
-    /// replays the journal verbatim, exactly as if the route had been
-    /// suspended in this process.
-    pub(crate) fn from_parts(route: RoutedNet, journal: Vec<Delta>) -> SuspendedRoute {
-        SuspendedRoute { route, journal }
-    }
-
-    /// Consumes the suspension, yielding the bare route (used when the
-    /// caller decides to *reinstall through the normal path* instead of
-    /// resuming, e.g. the serial reroute-failure fallback).
-    pub fn into_route(self) -> RoutedNet {
-        self.route
-    }
-
-    /// The suspended route.
-    pub fn route(&self) -> &RoutedNet {
-        &self.route
-    }
-}
-
-impl RouterState {
-    /// Lifts a route out of the state, preserving its cost journal.
-    ///
-    /// Cost maps, via tracking, and occupancy are reverted exactly as
-    /// [`RouterState::uninstall_route`] would; the difference is the
-    /// returned [`SuspendedRoute`] retains the journal so
-    /// [`RouterState::resume_route`] can put everything back without
-    /// recomputation.
-    pub fn suspend_route(&mut self, id: NetId) -> Option<SuspendedRoute> {
-        let route = self.solution.take_route(id)?;
-        let journal = std::mem::take(&mut self.journals[id.index()]);
-        for d in &journal {
-            match d.map {
-                MapKind::Wire => self.wire_penalty[d.point] -= d.amount,
-                MapKind::ViaLoc => self.via_penalty[d.point] -= d.amount,
-            }
-        }
-        for &via in route.vias() {
-            if !self.is_pin_via(via) {
-                self.remove_via_tracking(via);
-            }
-        }
-        self.view.remove_route(id, &route);
-        Some(SuspendedRoute { route, journal })
-    }
-
-    /// Puts a suspended route back, replaying its preserved journal.
-    ///
-    /// Exact inverse of [`RouterState::suspend_route`]: after the
-    /// call the state is byte-identical to the state before the
-    /// suspension (assuming no overlapping mutations in between).
-    pub fn resume_route(&mut self, id: NetId, suspended: SuspendedRoute) {
-        let SuspendedRoute { route, journal } = suspended;
+    /// Reinstalls a route together with its recorded cost journal
+    /// (checkpoint restore): the journal is replayed verbatim rather
+    /// than recomputed against the current state, so the restored cost
+    /// maps equal the ones the checkpoint captured.
+    pub(crate) fn resume_route(&mut self, id: NetId, route: RoutedNet, journal: Vec<Delta>) {
         self.view.add_route(id, &route);
         for &via in route.vias() {
             if !self.is_pin_via(via) {
@@ -543,12 +476,6 @@ impl RouterState {
         }
         self.journals[id.index()] = journal;
         self.solution.set_route(id, route);
-    }
-
-    /// Reverts one [`RouterState::bump_history`] at `p` (used when a
-    /// speculative wave is rolled back).
-    pub fn unbump_history(&mut self, p: GridPoint) {
-        self.history[p] -= self.params.history_step();
     }
 }
 
@@ -617,39 +544,6 @@ mod tests {
         assert_eq!(state.via_penalty, vp_before);
         assert_eq!(state.conflict_count, cc_before);
         assert!(state.solution.route(NetId(0)).is_none());
-    }
-
-    #[test]
-    fn suspend_resume_round_trips_state_exactly() {
-        let (_nl, mut state) = setup();
-        state.install_route(NetId(0), route_a());
-        let wp = state.wire_penalty.clone();
-        let vp = state.via_penalty.clone();
-        let cc = state.conflict_count.clone();
-        let journal_len = state.journals[0].len();
-        let s = state.suspend_route(NetId(0)).unwrap();
-        assert_eq!(s.route(), &route_a());
-        // Everything reverted while suspended.
-        assert!(state.solution.route(NetId(0)).is_none());
-        assert!(state.journals[0].is_empty());
-        state.resume_route(NetId(0), s);
-        assert_eq!(state.wire_penalty, wp);
-        assert_eq!(state.via_penalty, vp);
-        assert_eq!(state.conflict_count, cc);
-        // The journal is preserved verbatim, not recomputed.
-        assert_eq!(state.journals[0].len(), journal_len);
-        assert_eq!(state.solution.route(NetId(0)), Some(&route_a()));
-    }
-
-    #[test]
-    fn unbump_reverts_bump() {
-        let (_nl, mut state) = setup();
-        let p = GridPoint::new(1, 5, 5);
-        let before = state.history[p];
-        state.bump_history(p);
-        assert_ne!(state.history[p], before);
-        state.unbump_history(p);
-        assert_eq!(state.history[p], before);
     }
 
     #[test]

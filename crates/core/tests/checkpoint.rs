@@ -108,9 +108,9 @@ fn deadline_stopped_session_checkpoints_and_resumes() {
 }
 
 /// A checkpoint binds to the routing configuration alone, never to
-/// how the flow executed: one taken mid-run at pool width 2 (sharded
-/// R&R) restores and finishes at width 1, and the reverse, both to
-/// the uninterrupted fingerprint.
+/// how the flow executed: one taken mid-run at pool width 2 restores
+/// and finishes at width 1, and the reverse, both to the
+/// uninterrupted fingerprint.
 #[test]
 fn checkpoint_restores_across_pool_widths() {
     let (grid, netlist, config) = instance();

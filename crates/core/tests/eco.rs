@@ -236,7 +236,7 @@ fn eco_outcome_is_invariant_across_exec_knobs() {
     let base = RouterConfig::full(SadpKind::Sim);
     let reference = outcome_fingerprint(&sadp_exec::with_threads(1, || eco_run(base, false)));
 
-    // Pool widths (sharded R&R engages above width 1).
+    // Pool widths (the coloring check fans out above width 1).
     for threads in [2, 4] {
         let wide = sadp_exec::with_threads(threads, || eco_run(base, false));
         assert_eq!(reference, outcome_fingerprint(&wide), "threads={threads}");

@@ -225,7 +225,6 @@ fn solve_lazy(
     let mut accepted: Option<Vec<u32>> = None;
 
     for round in 0..max_rounds {
-        stats.rounds = round + 1;
         let remaining = deadline.map(|dl| dl.saturating_duration_since(Instant::now()));
         if matches!(remaining, Some(d) if d.is_zero()) {
             break;
@@ -237,6 +236,8 @@ fn solve_lazy(
         if sol.status == SolveStatus::Infeasible || sol.status == SolveStatus::Unknown {
             break;
         }
+        // A round counts once its relaxation is solved.
+        stats.rounds = round + 1;
         stats.best_bound = sol.best_bound;
         let inserted: Vec<u32> = (0..d_vars.len() as u32)
             .filter(|&c| sol.values[c as usize])
@@ -602,6 +603,9 @@ mod tests {
         let run = solve_exact(&p, Some(Duration::ZERO), &mut report).expect("never degrades");
         assert!(run.fallback_reason.is_none());
         assert!(!run.stats.proven_optimal);
+        // No relaxation was solved, so no round is reported.
+        assert_eq!(run.stats.rounds, 0);
+        assert_eq!(report.total(Phase::Dvi, Counter::Iterations), 0);
         assert_eq!(report.note_value("dvi_solver"), Some("ilp_lazy"));
         assert_eq!(report.note_value("dvi_fallback"), None);
         // The heuristic's set stands in, and it solves the instance.

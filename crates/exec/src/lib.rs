@@ -2,9 +2,10 @@
 //!
 //! A small, dependency-free execution layer for the embarrassingly
 //! parallel parts of the system: the circuit × arm × SADP experiment
-//! matrix, per-via-layer index construction and audits, per-net DVI
-//! candidate generation, and the waves of intra-instance sharded
-//! routing.
+//! matrix, per-via-layer index construction, audits and coloring
+//! checks, and per-net DVI candidate generation. Routing itself stays
+//! serial: the rip-up-and-reroute schedule of one instance runs on its
+//! calling thread.
 //!
 //! **One persistent pool.** Every parallel call runs on one
 //! process-wide pool of parked worker threads (the workspace is
@@ -54,11 +55,11 @@ pub const THREADS_ENV: &str = "SADP_EXEC_THREADS";
 
 /// The fault-injection failpoint hit once per pool task (see the
 /// `faultinject` crate): when armed, the task panics. [`map_indexed`] /
-/// [`map`] propagate that panic; [`try_map_indexed`] / [`try_map`]
-/// contain it as a [`TaskPanicked`] error.
+/// [`map`] propagate that panic; [`try_map_indexed`] contains it as a
+/// [`TaskPanicked`] error.
 pub const FAILPOINT_TASK_PANIC: &str = "exec.task_panic";
 
-/// A worker task panicked inside [`try_map_indexed`] / [`try_map`].
+/// A worker task panicked inside [`try_map_indexed`].
 ///
 /// Carries the lowest panicking task index and the panic payload
 /// rendered to a string (`&str` / `String` payloads verbatim,
@@ -137,7 +138,7 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// `true` when called from inside a pool task — on a pool worker, or
 /// on a caller running its own share of a job (nested maps run inline
 /// rather than publishing a second job).
-pub fn in_worker() -> bool {
+fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
@@ -160,7 +161,7 @@ where
     if threads <= 1 || in_worker() {
         return (0..tasks).map(g).collect();
     }
-    dispatch(tasks, &mut vec![(); threads], &|_: &mut (), i| g(i))
+    dispatch(tasks, threads, &g)
 }
 
 /// Applies `f` to every element of `items`, returning results in item
@@ -172,19 +173,6 @@ where
     F: Fn(&T) -> R + Sync,
 {
     map_indexed(items.len(), |i| f(&items[i]))
-}
-
-/// Runs one task under `catch_unwind` with the [`FAILPOINT_TASK_PANIC`]
-/// failpoint armed: the task body of every `try_*` fan-out.
-fn contained<R>(i: usize, task: impl FnOnce() -> R) -> Result<R, TaskPanicked> {
-    catch_unwind(AssertUnwindSafe(|| {
-        faultinject::maybe_panic(FAILPOINT_TASK_PANIC);
-        task()
-    }))
-    .map_err(|payload| TaskPanicked {
-        task: i,
-        message: panic_message(payload.as_ref()),
-    })
 }
 
 /// Panic-containing variant of [`map_indexed`]: each task runs under
@@ -202,84 +190,32 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let g = |i: usize| contained(i, || f(i));
+    let g = |i: usize| {
+        catch_unwind(AssertUnwindSafe(|| {
+            faultinject::maybe_panic(FAILPOINT_TASK_PANIC);
+            f(i)
+        }))
+        .map_err(|payload| TaskPanicked {
+            task: i,
+            message: panic_message(payload.as_ref()),
+        })
+    };
     let threads = thread_count().min(tasks);
     let results: Vec<Result<R, TaskPanicked>> = if threads <= 1 || in_worker() {
         (0..tasks).map(g).collect()
     } else {
-        dispatch(tasks, &mut vec![(); threads], &|_: &mut (), i| g(i))
+        dispatch(tasks, threads, &g)
     };
     // Results are already in task-index order, so `collect` surfaces
     // the lowest panicking index deterministically.
     results.into_iter().collect()
 }
 
-/// Slice-convenience form of [`try_map_indexed`].
-pub fn try_map<T, R, F>(items: &[T], f: F) -> Result<Vec<R>, TaskPanicked>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_map_indexed(items.len(), |i| f(&items[i]))
-}
-
-/// Panic-containing fan-out with **per-participant mutable state**:
-/// the wave API used by intra-instance sharded routing.
-///
-/// `states` is a caller-owned pool of participant states (e.g. search
-/// scratch buffers). It is grown with `make` until it covers the call's
-/// width `W`; participant `p` borrows `states[p]` exclusively for the
-/// duration of the call, and every task that participant executes
-/// receives that same `&mut S`. `states[0]` belongs to the caller,
-/// which takes part in every job as participant 0 — and it is also the
-/// state of the serial inline path (width 1, or nested inside a task).
-///
-/// Determinism: results are merged in task-index order, so the return
-/// value is byte-identical to the serial loop for any thread count —
-/// the usual pool rule — while each task additionally gets scratch
-/// state reuse. Tasks must therefore not let results depend on *which*
-/// state they received (scratch buffers are reset per search, so this
-/// holds).
-///
-/// Each task runs under `catch_unwind` with the
-/// [`FAILPOINT_TASK_PANIC`] failpoint armed; a panicking task yields
-/// `Err(`[`TaskPanicked`]`)` for the lowest panicking index, with all
-/// other tasks still run to completion.
-pub fn try_map_with<S, R, F, M>(
-    tasks: usize,
-    states: &mut Vec<S>,
-    mut make: M,
-    f: F,
-) -> Result<Vec<R>, TaskPanicked>
-where
-    S: Send,
-    R: Send,
-    F: Fn(&mut S, usize) -> R + Sync,
-    M: FnMut() -> S,
-{
-    let g = |state: &mut S, i: usize| contained(i, || f(state, i));
-    let threads = thread_count().min(tasks.max(1));
-    if states.is_empty() {
-        states.push(make());
-    }
-    let results: Vec<Result<R, TaskPanicked>> = if threads <= 1 || in_worker() {
-        let state = &mut states[0];
-        (0..tasks).map(|i| g(state, i)).collect()
-    } else {
-        while states.len() < threads {
-            states.push(make());
-        }
-        dispatch(tasks, &mut states[..threads], &g)
-    };
-    results.into_iter().collect()
-}
-
 /// One published parallel call: the shared half of [`dispatch`].
 struct Job {
-    /// Runs participant `p`: claims tasks until none are left. Its
+    /// Runs one participant: claims tasks until none are left. Its
     /// lifetime is erased; see the `SAFETY` note in [`dispatch`].
-    run: &'static (dyn Fn(&Job, usize) + Sync),
+    run: &'static (dyn Fn(&Job) + Sync),
     /// Number of tasks.
     tasks: usize,
     /// The next unclaimed task index. `Relaxed` throughout: a claim
@@ -287,7 +223,7 @@ struct Job {
     next: AtomicUsize,
     /// Participants the job admits, the caller included.
     width: usize,
-    /// Participant slots handed out so far (the caller holds slot 0).
+    /// Participants admitted so far, the caller included.
     /// Read and changed only under the pool lock, which orders it.
     joined: AtomicUsize,
     /// Pool workers currently inside `run`. Read and changed only
@@ -369,13 +305,13 @@ fn worker_main() {
                 None => queue = wait(&POOL.work, queue),
             }
         };
-        let p = job.joined.fetch_add(1, Ordering::Relaxed);
+        job.joined.fetch_add(1, Ordering::Relaxed);
         job.active.fetch_add(1, Ordering::Relaxed);
         drop(queue);
         // `run` contains task panics itself; should anything else
         // unwind, this guard still leaves the job below (the caller
         // waits for that) and keeps the worker for the next job.
-        let _ = catch_unwind(AssertUnwindSafe(|| (job.run)(&job, p)));
+        let _ = catch_unwind(AssertUnwindSafe(|| (job.run)(&job)));
         queue = lock();
         job.active.fetch_sub(1, Ordering::Relaxed);
         // The handle goes before the caller can observe `active == 0`,
@@ -440,28 +376,23 @@ impl Drop for Inside {
     }
 }
 
-/// The one parallel path: runs `f(&mut states[p], i)` for every task
-/// `i` in `0..tasks` on `states.len()` participants — the caller as
-/// participant 0 plus parked pool workers — and returns the results in
-/// task-index order. A panicking task stops its participant (the
-/// others drain the remaining tasks); once every participant has left,
-/// the payload of the lowest panicking task is re-raised on the
-/// caller.
-fn dispatch<S, R, F>(tasks: usize, states: &mut [S], f: &F) -> Vec<R>
+/// The one parallel path: runs `f(i)` for every task `i` in
+/// `0..tasks` on `width` participants — the caller as participant 0
+/// plus parked pool workers — and returns the results in task-index
+/// order. A panicking task stops its participant (the others drain
+/// the remaining tasks); once every participant has left, the payload
+/// of the lowest panicking task is re-raised on the caller.
+fn dispatch<R, F>(tasks: usize, width: usize, f: &F) -> Vec<R>
 where
-    S: Send,
     R: Send,
-    F: Fn(&mut S, usize) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
 {
-    let slots: Vec<Mutex<&mut S>> = states.iter_mut().map(Mutex::new).collect();
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(tasks));
     let panicked: Mutex<Option<(usize, Box<dyn Any + Send>)>> = Mutex::new(None);
-    let run = |job: &Job, p: usize| {
-        let mut slot = slots[p].lock().unwrap_or_else(PoisonError::into_inner);
-        let state: &mut S = &mut slot;
+    let run = |job: &Job| {
         let mut local: Vec<(usize, R)> = Vec::new();
         while let Some(i) = job.claim() {
-            match catch_unwind(AssertUnwindSafe(|| f(state, i))) {
+            match catch_unwind(AssertUnwindSafe(|| f(i))) {
                 Ok(r) => local.push((i, r)),
                 Err(payload) => {
                     let mut first = panicked.lock().unwrap_or_else(PoisonError::into_inner);
@@ -477,7 +408,7 @@ where
             .unwrap_or_else(PoisonError::into_inner)
             .append(&mut local);
     };
-    let run: &(dyn Fn(&Job, usize) + Sync + '_) = &run;
+    let run: &(dyn Fn(&Job) + Sync + '_) = &run;
     // SAFETY: only the lifetime is erased; the layout is unchanged.
     // `run` borrows this frame, and the erased reference is reachable
     // only through `job`. The `Retire` guard below withdraws `job`
@@ -486,12 +417,12 @@ where
     // and it exists before `job` is published — so `run` is never
     // called, nor referenced by a worker, after this frame ends. The
     // caller's own `job` is dropped before `run`.
-    let run: &'static (dyn Fn(&Job, usize) + Sync) = unsafe { std::mem::transmute(run) };
+    let run: &'static (dyn Fn(&Job) + Sync) = unsafe { std::mem::transmute(run) };
     let job = Arc::new(Job {
         run,
         tasks,
         next: AtomicUsize::new(0),
-        width: slots.len(),
+        width,
         joined: AtomicUsize::new(1),
         active: AtomicUsize::new(0),
     });
@@ -499,7 +430,7 @@ where
         let _retire = Retire(&job);
         publish(&job);
         let _inside = Inside::enter();
-        (job.run)(&job, 0);
+        (job.run)(&job);
     }
     drop(job);
     if let Some((_, payload)) = panicked
@@ -651,75 +582,10 @@ mod tests {
     fn try_map_matches_map_when_nothing_panics() {
         let ok = with_threads(4, || try_map_indexed(100, |i| i * 7)).unwrap();
         assert_eq!(ok, (0..100).map(|i| i * 7).collect::<Vec<_>>());
-        let items: Vec<i32> = (0..20).collect();
-        let out = with_threads(4, || try_map(&items, |&x| x + 1)).unwrap();
-        assert_eq!(out, (1..21).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_map_with_matches_serial_and_reuses_states() {
-        let serial: Vec<u64> = (0..97).map(|i| (i as u64) * 31 + 5).collect();
-        for threads in [1, 2, 4, 8] {
-            let mut states: Vec<u64> = Vec::new();
-            let out = with_threads(threads, || {
-                try_map_with(
-                    97,
-                    &mut states,
-                    || 0u64,
-                    |s, i| {
-                        // Worker-local state mutates freely without
-                        // affecting the (index-pure) result.
-                        *s += 1;
-                        (i as u64) * 31 + 5
-                    },
-                )
-            })
-            .unwrap();
-            assert_eq!(out, serial, "threads={threads}");
-            // The state pool grew to at most the pool width and saw
-            // every task exactly once in total.
-            assert!(states.len() <= threads.max(1));
-            assert_eq!(states.iter().sum::<u64>(), 97, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn try_map_with_contains_panics_at_lowest_index() {
-        for threads in [1, 4] {
-            let mut states: Vec<()> = Vec::new();
-            let err = with_threads(threads, || {
-                try_map_with(
-                    40,
-                    &mut states,
-                    || (),
-                    |_, i| {
-                        if i == 11 || i == 29 {
-                            panic!("wave task {i} died");
-                        }
-                        i
-                    },
-                )
-            })
-            .unwrap_err();
-            assert_eq!(err.task, 11, "threads={threads}");
-            assert_eq!(err.message, "wave task 11 died");
-        }
-    }
-
-    #[test]
-    fn try_map_with_zero_tasks_is_empty() {
-        let mut states: Vec<u8> = Vec::new();
-        let out = with_threads(4, || try_map_with(0, &mut states, || 0u8, |_, i| i)).unwrap();
-        assert!(out.is_empty());
     }
 
     #[test]
     fn concurrent_callers_share_the_pool() {
-        /// A participant state that flags any concurrent use.
-        struct Probe {
-            busy: std::sync::atomic::AtomicBool,
-            runs: usize,
-        }
         let value = |i: usize| (i as u64).wrapping_mul(7919) % 1013;
         let serial: Vec<u64> = (0..301).map(value).collect();
         std::thread::scope(|scope| {
@@ -727,32 +593,14 @@ mod tests {
                 let serial = &serial;
                 scope.spawn(move || {
                     for round in 0..20 {
-                        let mut states: Vec<Probe> = Vec::new();
                         let width = 2 + (caller + round) % 3;
                         let out = with_threads(width, || {
-                            try_map_with(
-                                301,
-                                &mut states,
-                                || Probe {
-                                    busy: std::sync::atomic::AtomicBool::new(false),
-                                    runs: 0,
-                                },
-                                |s, i| {
-                                    assert!(
-                                        !s.busy.swap(true, Ordering::SeqCst),
-                                        "one state used by two participants at once"
-                                    );
-                                    s.runs += 1;
-                                    std::thread::yield_now();
-                                    s.busy.store(false, Ordering::SeqCst);
-                                    value(i)
-                                },
-                            )
-                        })
-                        .unwrap();
+                            map_indexed(301, |i| {
+                                std::thread::yield_now();
+                                value(i)
+                            })
+                        });
                         assert_eq!(&out, serial, "caller={caller} round={round}");
-                        assert_eq!(states.len(), width);
-                        assert_eq!(states.iter().map(|s| s.runs).sum::<usize>(), 301);
                     }
                 });
             }
@@ -822,19 +670,6 @@ mod tests {
             assert!(on_caller(
                 &try_map_indexed(50, |_| std::thread::current().id()).unwrap()
             ));
-            let mut states: Vec<u32> = Vec::new();
-            let ids = try_map_with(
-                50,
-                &mut states,
-                || 0u32,
-                |s, _| {
-                    *s += 1;
-                    std::thread::current().id()
-                },
-            )
-            .unwrap();
-            assert!(on_caller(&ids));
-            assert_eq!(states, vec![50]);
         });
         assert_eq!(PUBLISHED.with(Cell::get), before, "width 1 published a job");
         // Positive control: width 2 goes through the pool.

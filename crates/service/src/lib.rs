@@ -35,7 +35,7 @@
 //! boundaries. After a crash — process kill included — reopening the
 //! journal replays finished jobs verbatim and re-enqueues interrupted
 //! ones, warm-starting from checkpoints, with the same fingerprint an
-//! uninterrupted run would have produced (DESIGN.md §3.10).
+//! uninterrupted run would have produced (DESIGN.md §3.9).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

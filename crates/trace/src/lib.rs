@@ -123,11 +123,12 @@ pub enum Counter {
     /// A phase stopped by a budget or iteration cap before it
     /// converged (see `sadp-router`'s `Termination`).
     BudgetStops,
-    /// A speculative parallel R&R wave executed (intra-instance
-    /// sharding; serial fallback steps count no wave).
+    /// Retired: counted the waves of the removed parallel R&R
+    /// scheduler. Nothing increments it; it stays only while the repo
+    /// benchmark still reports it (always 0).
     Waves,
-    /// A speculative wave entry spilled to the serial fixup path
-    /// (window escalation needed, or speculation invalidated).
+    /// Retired with [`Counter::Waves`]: nothing increments it; kept
+    /// only while the repo benchmark still reports it (always 0).
     WaveSpills,
     /// Nets an ECO delta ripped for rerouting (the victim set).
     EcoVictims,

@@ -41,8 +41,13 @@ fn tiny_instance() -> (RoutingGrid, Netlist) {
 }
 
 /// Runs one session to the end under whatever faults are armed and
-/// asserts the resilience contract.
-fn assert_contract(grid: &RoutingGrid, netlist: &Netlist, config: RouterConfig) {
+/// asserts the resilience contract. Returns the outcome when the run
+/// finished without a contained fault.
+fn assert_contract(
+    grid: &RoutingGrid,
+    netlist: &Netlist,
+    config: RouterConfig,
+) -> Option<RoutingOutcome> {
     let session = RoutingSession::try_new(grid, netlist, config).expect("inputs are valid");
     match session.try_finish(&mut NoopObserver) {
         Ok(outcome) => {
@@ -51,8 +56,9 @@ fn assert_contract(grid: &RoutingGrid, netlist: &Netlist, config: RouterConfig) 
                 .solution
                 .validate()
                 .expect("outcome solution is well-formed");
+            Some(outcome)
         }
-        Err(RouteError::TaskPanicked { .. }) | Err(RouteError::Solver { .. }) => {}
+        Err(RouteError::TaskPanicked { .. }) | Err(RouteError::Solver { .. }) => None,
         Err(other) => panic!("unexpected error class: {other}"),
     }
 }
@@ -72,41 +78,40 @@ fn worker_panics_never_escape_any_arm() {
 }
 
 #[test]
-fn wave_panics_roll_back_and_never_poison_occupancy() {
+fn coloring_fanout_panics_are_contained_and_never_poison_occupancy() {
     let _g = lock();
     let (grid, netlist) = tiny_instance();
     for threads in [2usize, 4] {
         sadp_exec::with_threads(threads, || {
-            // Leg 1: the contract holds while panics fire inside the
-            // sharded waves.
-            for p in [0.5, 1.0] {
-                let _f = faultinject::arm(42, FaultSpec::new().point("exec.task_panic", p));
-                assert_contract(&grid, &netlist, RouterConfig::full(SadpKind::Sim));
-            }
-            // Leg 2: a panicked wave rolls the state back to a valid
-            // between-iterations point — after disarming, the same
-            // session must still finish with a well-formed solution.
             let mut session =
                 RoutingSession::try_new(&grid, &netlist, RouterConfig::full(SadpKind::Sim))
                     .expect("inputs are valid");
+            let (clean, _) = session.tpl_removal(&mut NoopObserver);
+            assert!(clean, "threads={threads}: the R&R phases end clean");
             {
+                // The per-via-layer coloring fan-out is the contained
+                // fan-out a session makes: every task panics, and the
+                // check reports the layers unverified instead of
+                // unwinding.
                 let _f = faultinject::arm(7, FaultSpec::new().point("exec.task_panic", 1.0));
-                session.initial_route(&mut NoopObserver);
-                session.negotiate(&mut NoopObserver);
+                assert!(
+                    !session.ensure_colorable(&mut NoopObserver),
+                    "threads={threads}: the armed fan-out must be reached"
+                );
             }
             session
                 .solution()
                 .validate()
-                .expect("occupancy survives a rolled-back wave");
-            match session.try_finish(&mut NoopObserver) {
-                Ok(out) => out
-                    .solution
-                    .validate()
-                    .map(|_| ())
-                    .expect("finished solution is well-formed"),
-                Err(RouteError::TaskPanicked { .. }) => {}
-                Err(other) => panic!("unexpected error class: {other}"),
-            }
+                .expect("occupancy survives a contained fan-out panic");
+            let out = session.finish(&mut NoopObserver);
+            out.solution
+                .validate()
+                .expect("finished solution is well-formed");
+            assert!(out.routed_all, "threads={threads}");
+            assert!(
+                !out.colorable,
+                "threads={threads}: unverified is not colorable"
+            );
         });
     }
 }
@@ -183,21 +188,56 @@ fn all_failpoints_at_once_hold_the_contract() {
     let _g = lock();
     let (grid, netlist) = tiny_instance();
     let start = Instant::now();
+    let mut aborted_solves = 0;
     for seed in [1u64, 2, 3] {
-        let _f = faultinject::arm(
-            seed,
-            FaultSpec::new()
-                .point("exec.task_panic", 0.3)
-                .point("core.slow_phase", 0.5)
-                .point("dvi.solver_abort", 1.0)
-                .delay(Duration::from_millis(5)),
-        );
-        for kind in [SadpKind::Sim, SadpKind::Sid] {
-            for config in arms(kind) {
-                assert_contract(&grid, &netlist, config);
+        let mut finished = Vec::new();
+        {
+            let _f = faultinject::arm(
+                seed,
+                FaultSpec::new()
+                    .point("exec.task_panic", 0.3)
+                    .point("core.slow_phase", 0.5)
+                    .point("dvi.solver_abort", 1.0)
+                    .delay(Duration::from_millis(5)),
+            );
+            for kind in [SadpKind::Sim, SadpKind::Sid] {
+                for config in arms(kind) {
+                    if let Some(out) = assert_contract(&grid, &netlist, config) {
+                        finished.push((kind, out));
+                    }
+                }
             }
         }
+        // The exact DVI solve of every finished run must degrade to a
+        // legal heuristic set. `exec.task_panic` stays disarmed here:
+        // the DVI build and the heuristic fan out through the
+        // propagating `sadp_exec::map`.
+        let _f = faultinject::arm(seed, FaultSpec::new().point("dvi.solver_abort", 1.0));
+        for (kind, out) in &finished {
+            let problem = DviProblem::build(*kind, &out.solution);
+            let mut report = JsonReport::new("dvi");
+            let run = solve_exact(&problem, None, &mut report)
+                .expect("the heuristic fallback must produce a result");
+            let reason = run.fallback_reason.expect("the armed abort is reached");
+            assert!(reason.contains("dvi.solver_abort"), "{reason}");
+            assert_eq!(report.note_value("dvi_fallback"), Some(reason.as_str()));
+            let heuristic = solve_heuristic(&problem, &DviParams::default());
+            assert_eq!(run.outcome.inserted, heuristic.inserted);
+            let mut per_via = vec![0usize; problem.via_count()];
+            for &c in &run.outcome.inserted {
+                per_via[problem.candidates()[c as usize].via_idx as usize] += 1;
+            }
+            assert!(per_via.iter().all(|&k| k <= 1), "one insertion per via");
+            for &(a, b) in problem.conflicts() {
+                assert!(
+                    !(run.outcome.inserted.contains(&a) && run.outcome.inserted.contains(&b)),
+                    "conflicting candidates {a} and {b} both inserted"
+                );
+            }
+            aborted_solves += 1;
+        }
     }
+    assert!(aborted_solves > 0, "no run finished, so no DVI solve ran");
     assert!(
         start.elapsed() < Duration::from_secs(120),
         "chaos matrix must stay bounded"
